@@ -100,22 +100,18 @@ class Prover:
 
         embedding = cnf(entailment)
         order = default_order(entailment.constants())
+        # The one implementation switch: the production path pairs the kernel
+        # engine with the incremental model generator, the reference path
+        # pairs the symbolic engine with from-scratch ``generate_model``.
+        production = self.config.use_int_kernel
         engine = SaturationEngine(
             order,
             max_clauses=self.config.max_saturation_clauses,
-            use_index=self.config.use_clause_index,
-            use_kernel=self.config.use_int_kernel,
-            use_unit_rewrite=self.config.use_unit_rewrite,
-            index_threshold=self.config.index_threshold,
-            use_bitset=self.config.use_bitset_subsumption,
+            use_kernel=production,
         )
         model_generator = (
-            IncrementalModelGenerator(
-                order,
-                verify=self.config.verify_model,
-                dense=self.config.use_dense_models,
-            )
-            if self.config.incremental_models
+            IncrementalModelGenerator(order, verify=self.config.verify_model)
+            if production
             else None
         )
         trace = ProofTrace() if self.config.record_proof else None

@@ -93,8 +93,9 @@ class FailureInfo:
         partial :class:`~repro.core.result.ProverStatistics` when the
         cooperative path fired.
     ``"oom"``
-        The task exceeded ``ProverConfig.max_memory_mb`` (``MemoryError``
-        under ``RLIMIT_AS``).
+        The task exceeded a space budget: ``ProverConfig.max_memory_mb``
+        (``MemoryError`` under ``RLIMIT_AS``) or
+        ``ProverConfig.max_saturation_clauses`` (``detail`` says which).
     """
 
     kind: str

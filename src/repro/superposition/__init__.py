@@ -18,16 +18,13 @@ clauses over equalities between constant symbols.  The three modules are:
   (Lemma 3.1 of the paper);
 * :mod:`repro.superposition.rewrite` — convergent rewrite relations over
   constants and their normal forms;
-* :mod:`repro.superposition.index` — the literal-occurrence / feature-vector
-  clause index that turns the engine's subsumption and partner-selection
-  queries into dictionary lookups;
 * :mod:`repro.superposition.kernel` — the dense integer clause kernel: the
-  same given-clause loop over per-problem interned integer codes, with
-  symbolic clauses only at the engine boundary.
+  production given-clause loop over per-problem interned integer codes, with
+  a literal-occurrence clause index and symbolic clauses only at the engine
+  boundary.
 """
 
 from repro.superposition.calculus import SuperpositionCalculus
-from repro.superposition.index import ClauseIndex
 from repro.superposition.kernel import DenseEncoder, IntClauseIndex, IntSaturationCore
 from repro.superposition.model import (
     EqualityModel,
@@ -43,7 +40,6 @@ __all__ = [
     "SaturationEngine",
     "SaturationResult",
     "RewriteRelation",
-    "ClauseIndex",
     "DenseEncoder",
     "IntClauseIndex",
     "IntSaturationCore",

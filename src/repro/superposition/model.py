@@ -170,15 +170,19 @@ _UNDECIDED = object()
 class IncrementalModelGenerator:
     """``Gen(S*)`` maintained incrementally across saturation rounds.
 
-    The prover's inner loop regenerates the candidate model after every
-    saturation chunk and every batch of well-formedness consequences.  Between
-    two consecutive calls the clause set changes only a little, yet the
-    one-shot :func:`generate_model` re-sorts, re-constructs and re-verifies
-    everything from scratch.  This class keeps three pieces of state alive
-    between calls:
+    The production path's model generator.  The prover's inner loop
+    regenerates the candidate model after every saturation chunk and every
+    batch of well-formedness consequences.  Between two consecutive calls
+    the clause set changes only a little, yet the one-shot
+    :func:`generate_model` (the reference path) re-sorts, re-constructs and
+    re-verifies everything from scratch.  This class pairs with one kernel
+    engine, consumes its known-set change feed (``drain_known_changes``: raw
+    :class:`IntClause` records, never decoded) and keeps three pieces of
+    state alive between calls, all keyed by integers:
 
     * the **ordered clause list**, maintained insertion-sorted under the
-      memoised ``clause_sort_key`` (which is injective on pure clauses, so
+      packed dense sort key (order- and equality-isomorphic to
+      ``TermOrder.clause_sort_key``, which is injective on pure clauses, so
       positions are unambiguous and removals can be found by bisection);
     * the **construction trail** — the produce/skip decision at every position
       of the ordered list.  A decision at position ``i`` depends only on the
@@ -191,399 +195,35 @@ class IncrementalModelGenerator:
       fires (or the removal of a clause that had fired) invalidates the
       decisions behind it;
     * the **verification cache** — the set of clauses already checked against
-      the current rewrite relation, plus the per-edge generator records whose
-      leftover literals were checked.  Satisfaction of a clause depends only
-      on the *normal forms of its own constants*, so the cache is invalidated
-      per constant: when the edge set changes, the generator diffs the
-      normal-form snapshot against the previous round's and re-verifies only
-      the clauses that mention a constant whose normal form actually moved.
-      A round that leaves the edge set unchanged (the common case while the
-      prover narrows in on a stable model) verifies only newly added clauses;
-      a round that adds one edge re-verifies only the clauses in that edge's
-      constant neighbourhood.
+      the current rewrite relation, plus the per-edge generating clauses
+      whose leftover literals were checked.  Satisfaction of a clause depends
+      only on the *normal forms of its own constants*, so the cache is
+      invalidated per constant: when the edge set changes, the generator
+      diffs the normal-form snapshot against the previous round's and
+      re-verifies only the clauses that mention a constant whose normal form
+      actually moved.
 
-    The result is equal to ``generate_model(clauses, order, verify)`` called
-    from scratch on every round — the construction is deterministic and the
-    caches are invalidated exactly when their inputs change.
-    """
-
-    def __init__(self, order: TermOrder, verify: bool = True, dense: bool = True):
-        self.order = order
-        self.verify = verify
-        #: Prefer the dense-side generator when the paired engine exposes a
-        #: kernel core (see :class:`_DenseModelGenerator`); disabled by the
-        #: ``use_dense_models`` ablation, which keeps the decoded-clause feed.
-        self.dense = dense
-        self._dense_impl: Optional[_DenseModelGenerator] = None
-        self._members: Set[Clause] = set()
-        self._keys: List[Tuple] = []
-        self._ordered: List[Clause] = []
-        #: Per-position construction decision: ``None`` (clause produced no
-        #: edge), ``(big, small, GeneratingClause)``, or the ``_UNDECIDED``
-        #: sentinel for positions inserted since the last construction.
-        self._decisions: List[object] = []
-        #: Positions >= the barrier hold decisions made under a relation
-        #: prefix that no longer exists (an edge-producing clause before them
-        #: was removed); they must be re-evaluated.
-        self._replay_barrier = 0
-        self._verified_edges: Optional[FrozenSet[Tuple[Const, Const]]] = None
-        #: Clauses whose satisfaction still has to be checked against the
-        #: current relation (everything else passed under normal forms that
-        #: have not moved since).
-        self._unverified: Set[Clause] = set()
-        self._verified_generators: Dict[Tuple[Const, Const], GeneratingClause] = {}
-        #: constant -> clauses of the current set mentioning it (the
-        #: invalidation neighbourhoods of the per-constant verification cache).
-        self._clauses_by_const: Dict[Const, Set[Clause]] = {}
-        #: Normal form of every constant at the last verification.
-        self._verified_normal_forms: Dict[Const, Const] = {}
-        #: Which key function populated ``_keys``: ``None`` until first use,
-        #: then "symbolic" (``TermOrder.clause_sort_key``), "dense" (the
-        #: kernel's packed literal keys over decoded clauses), or
-        #: "dense-core" (the :class:`_DenseModelGenerator` owns all state).
-        #: The orders agree but the keys/structures don't, so one generator
-        #: must never mix modes.
-        self._key_mode: Optional[str] = None
-
-    def model_for(self, clauses: Iterable[Clause]) -> EqualityModel:
-        """The candidate model of the given clause set (see :func:`generate_model`)."""
-        self._set_key_mode("symbolic")
-        self._update_ordered(clauses)
-        relation, generators = self._construct()
-        if self.verify:
-            self._verify(relation, generators)
-        return EqualityModel(relation=relation, generators=generators, order=self.order)
-
-    def model_for_engine(self, engine) -> EqualityModel:
-        """The candidate model of an engine's current known clause set.
-
-        With a kernel engine and ``dense`` enabled (the default), the whole
-        construction runs on the dense side: a :class:`_DenseModelGenerator`
-        consumes the engine's raw :class:`IntClause` feed and maintains the
-        ordered list, trail and verification caches over integer ids —
-        symbolic objects are materialised only at the model boundary.
-
-        Otherwise, when the engine maintains a (decoded) change feed
-        (``drain_known_changes``), the ordered list, trail and verification
-        caches are updated from the *deltas* under the engine's precomputed
-        dense sort keys, skipping both the full-set diff and the symbolic
-        key computations of :meth:`model_for`; failing that, this falls back
-        to diffing ``known_pure_clauses()``.  The change feed supports one
-        consumer, which is exactly the pairing the prover creates.
-        """
-        if self._dense_impl is not None:
-            return self._dense_impl.model()
-        if self.dense:
-            core_of = getattr(engine, "dense_core", None)
-            core = core_of() if core_of is not None else None
-            if core is not None:
-                self._set_key_mode("dense-core")
-                self._dense_impl = _DenseModelGenerator(core, self.order, self.verify)
-                return self._dense_impl.model()
-        changes = engine.drain_known_changes()
-        if changes is None:
-            return self.model_for(engine.known_pure_clauses())
-        self._set_key_mode("dense")
-        added, removed = changes
-        if added or removed:
-            self._apply_changes(added, removed)
-        relation, generators = self._construct()
-        if self.verify:
-            self._verify(relation, generators)
-        return EqualityModel(relation=relation, generators=generators, order=self.order)
-
-    # -- internals -----------------------------------------------------------
-    def _set_key_mode(self, mode: str) -> None:
-        if self._key_mode is None:
-            self._key_mode = mode
-        elif self._key_mode != mode:
-            raise RuntimeError(
-                "an IncrementalModelGenerator cannot mix dense-keyed and "
-                "symbolically-keyed updates; pair it with one engine"
-            )
-
-    def _apply_changes(self, added, removed) -> None:
-        """Apply a keyed known-set delta to the ordered list and the caches."""
-        by_const = self._clauses_by_const
-        members = self._members
-        unverified = self._unverified
-        for clause, key in removed:
-            if clause not in members:
-                continue
-            members.discard(clause)
-            position = bisect_left(self._keys, key)
-            decision = self._decisions[position]
-            del self._keys[position]
-            del self._ordered[position]
-            del self._decisions[position]
-            if decision is not None and decision is not _UNDECIDED:
-                self._replay_barrier = min(self._replay_barrier, position)
-            elif position < self._replay_barrier:
-                self._replay_barrier -= 1
-            unverified.discard(clause)
-            for constant in clause.constants():
-                bucket = by_const.get(constant)
-                if bucket is not None:
-                    bucket.discard(clause)
-        for clause, key in added:
-            if not clause.is_pure:
-                raise ValueError("generate_model expects pure clauses only")
-            if clause.is_empty:
-                raise ValueError("cannot generate a model: the empty clause is present")
-            if clause.is_tautology or clause in members:
-                continue
-            members.add(clause)
-            position = bisect_left(self._keys, key)
-            self._keys.insert(position, key)
-            self._ordered.insert(position, clause)
-            self._decisions.insert(position, _UNDECIDED)
-            if position < self._replay_barrier:
-                self._replay_barrier += 1
-            unverified.add(clause)
-            for constant in clause.constants():
-                by_const.setdefault(constant, set()).add(clause)
-    def _update_ordered(self, clauses: Iterable[Clause]) -> None:
-        current: Set[Clause] = set()
-        for clause in clauses:
-            if not clause.is_pure:
-                raise ValueError("generate_model expects pure clauses only")
-            if clause.is_empty:
-                raise ValueError("cannot generate a model: the empty clause is present")
-            if clause.is_tautology:
-                continue
-            current.add(clause)
-        if current == self._members:
-            return
-        sort_key = self.order.clause_sort_key
-        by_const = self._clauses_by_const
-        for clause in self._members - current:
-            position = bisect_left(self._keys, sort_key(clause))
-            decision = self._decisions[position]
-            del self._keys[position]
-            del self._ordered[position]
-            del self._decisions[position]
-            if decision is not None and decision is not _UNDECIDED:
-                # The removed clause had produced an edge: everything behind
-                # it was decided against a relation that no longer exists.
-                self._replay_barrier = min(self._replay_barrier, position)
-            elif position < self._replay_barrier:
-                self._replay_barrier -= 1
-            self._unverified.discard(clause)
-            for constant in clause.constants():
-                bucket = by_const.get(constant)
-                if bucket is not None:
-                    bucket.discard(clause)
-        for clause in current - self._members:
-            key = sort_key(clause)
-            position = bisect_left(self._keys, key)
-            self._keys.insert(position, key)
-            self._ordered.insert(position, clause)
-            self._decisions.insert(position, _UNDECIDED)
-            if position < self._replay_barrier:
-                self._replay_barrier += 1
-            self._unverified.add(clause)
-            for constant in clause.constants():
-                by_const.setdefault(constant, set()).add(clause)
-        self._members = current
-
-    def _construct(self) -> Tuple[RewriteRelation, Dict[Tuple[Const, Const], GeneratingClause]]:
-        relation = RewriteRelation()
-        generators: Dict[Tuple[Const, Const], GeneratingClause] = {}
-        decisions = self._decisions
-        production_of = self.order.production
-        barrier = self._replay_barrier
-        trusted = True
-        # Normal forms of the relation built *so far*, maintained eagerly as
-        # edges are added (``_apply_edge``): evaluating a clause is then a
-        # dictionary hit per constant instead of a rewrite-chain chase
-        # against the relation's (edge-invalidated) cache.
-        normal_forms: Dict[Const, Const] = {}
-        nf_get = normal_forms.get
-        #: normal form -> every constant currently mapping to it.
-        classes: Dict[Const, List[Const]] = {}
-
-        def apply_edge(big: Const, small: Const) -> None:
-            relation.add_edge(big, small)
-            target = nf_get(small, small)
-            group = classes.pop(big, None)
-            if group is None:
-                group = [big]
-            else:
-                group.append(big)
-            for constant in group:
-                normal_forms[constant] = target
-            bucket = classes.get(target)
-            if bucket is None:
-                classes[target] = group
-            else:
-                bucket.extend(group)
-
-        for position, clause in enumerate(self._ordered):
-            if trusted:
-                if position >= barrier:
-                    trusted = False
-                else:
-                    decision = decisions[position]
-                    if decision is not _UNDECIDED:
-                        # Replay: the relation built so far equals the one
-                        # this decision was made under, so it still holds —
-                        # no satisfiability check needed.
-                        if decision is not None:
-                            big, small, generator = decision
-                            apply_edge(big, small)
-                            generators[(big, small)] = generator
-                        continue
-            satisfied = False
-            for atom in clause.gamma:
-                left, right = atom.left, atom.right
-                if nf_get(left, left) != nf_get(right, right):
-                    satisfied = True
-                    break
-            if not satisfied:
-                for atom in clause.delta:
-                    left, right = atom.left, atom.right
-                    if nf_get(left, left) == nf_get(right, right):
-                        satisfied = True
-                        break
-            fresh = None
-            if not satisfied:
-                production = production_of(clause)
-                if production is not None and production[0] not in relation:
-                    big, small, equation = production
-                    apply_edge(big, small)
-                    generator = GeneratingClause(
-                        clause=clause,
-                        equation=equation,
-                        leftover_gamma=clause.gamma,
-                        leftover_delta=clause.delta - {equation},
-                    )
-                    generators[(big, small)] = generator
-                    fresh = (big, small, generator)
-            if trusted and fresh is not None:
-                # A newly inserted clause produced an edge the previous
-                # construction did not have: the recorded suffix no longer
-                # describes this relation.
-                trusted = False
-            decisions[position] = fresh
-        self._replay_barrier = len(self._ordered)
-        return relation, generators
-
-    def _verify(
-        self,
-        relation: RewriteRelation,
-        generators: Dict[Tuple[Const, Const], GeneratingClause],
-    ) -> None:
-        edges = relation.edge_set()
-        unverified = self._unverified
-        if edges != self._verified_edges:
-            # The edge set moved: a clause's satisfaction only depends on the
-            # normal forms of its own constants, so re-verify exactly the
-            # clauses in the neighbourhood of the constants whose normal form
-            # actually changed (diff of the two snapshots) instead of
-            # everything.
-            snapshot = relation.normal_form_snapshot(self._clauses_by_const)
-            previous = self._verified_normal_forms
-            for constant, normal in snapshot.items():
-                if previous.get(constant, constant) != normal:
-                    unverified |= self._clauses_by_const[constant]
-            self._verified_normal_forms = snapshot
-            self._verified_edges = edges
-            self._verified_generators = {}
-        if unverified:
-            # Evaluate straight off the normal-form snapshot: one dictionary
-            # hit per constant instead of a satisfies_pure_clause call that
-            # re-chases (cached) rewrite paths per literal.
-            snapshot = self._verified_normal_forms
-            snapshot_get = snapshot.get
-            normal_form = relation.normal_form
-            for clause in list(unverified):
-                satisfied = False
-                for atom in clause.gamma:
-                    left, right = atom.left, atom.right
-                    if (snapshot_get(left) or normal_form(left)) != (
-                        snapshot_get(right) or normal_form(right)
-                    ):
-                        satisfied = True
-                        break
-                if not satisfied:
-                    for atom in clause.delta:
-                        left, right = atom.left, atom.right
-                        if (snapshot_get(left) or normal_form(left)) == (
-                            snapshot_get(right) or normal_form(right)
-                        ):
-                            satisfied = True
-                            break
-                if not satisfied:
-                    raise ModelGenerationError(
-                        "the candidate model does not satisfy the clause {}".format(
-                            clause
-                        )
-                    )
-                unverified.discard(clause)
-        checked_generators = self._verified_generators
-        for edge, generator in generators.items():
-            if checked_generators.get(edge) == generator:
-                continue
-            leftover_ok = all(
-                relation.satisfies_atom(atom) for atom in generator.leftover_gamma
-            ) and not any(relation.satisfies_atom(atom) for atom in generator.leftover_delta)
-            if not leftover_ok:
-                raise ModelGenerationError(
-                    "the generating clause of the edge {} => {} has leftover literals "
-                    "that the candidate model does not refute ({})".format(
-                        edge[0], edge[1], generator.clause
-                    )
-                )
-            checked_generators[edge] = generator
-
-
-def _const_ids_of(clause: IntClause) -> List[int]:
-    """The dense constant ids occurring in a kernel clause (via its cmask).
-
-    Memoised on the clause — the change feed adds and later removes the same
-    record, and the cache resets with ``cmask`` on a rebuild.
-    """
-    ids = clause.const_ids
-    if ids is None:
-        mask = _cmask_of(clause)
-        ids = []
-        while mask:
-            low = mask & -mask
-            ids.append(low.bit_length() - 1)
-            mask ^= low
-        clause.const_ids = ids
-    return ids
-
-
-class _DenseModelGenerator:
-    """``Gen(S*)`` over :class:`IntClause` records and dense constant ids.
-
-    The dense twin of :class:`IncrementalModelGenerator`'s internals: the
-    same ordered list / construction trail / per-constant verification cache
-    design, but every structure is keyed by integers — clauses come straight
-    off the kernel's raw change feed (``drain_known_changes_raw``), ordering
-    uses the precomputed packed sort keys, satisfaction checks unpack atom
-    codes with two shifts, and the rewrite relation is a plain ``int -> int``
-    dictionary.  Nothing is decoded during maintenance; symbolic objects are
+    Satisfaction checks unpack atom codes with two shifts and the rewrite
+    relation is a plain ``int -> int`` dictionary.  Symbolic objects are
     built only in :meth:`_materialise` — and even there, an unchanged
     edge/generator sequence returns the previous round's
-    :class:`EqualityModel` object outright, with its normal-form cache primed
-    from the construction's own snapshot.
+    :class:`EqualityModel` object outright.
 
-    Equivalence with the symbolic generator is structural: the dense sort key
-    is order- and equality-isomorphic to ``TermOrder.clause_sort_key``, the
-    precomputed ``IntClause.production`` agrees with ``TermOrder.production``
-    literal-for-literal, and satisfaction is evaluated over the same normal
-    forms — so the construction visits the same clauses in the same order and
-    produces the identical edge and generator sequence (pinned by the matrix
-    tests in ``tests/test_kernel.py``).
+    The result is equal to ``generate_model(engine.known_pure_clauses(),
+    order, verify)`` called from scratch on every round: the dense sort key
+    orders clauses like ``TermOrder.clause_sort_key``, the precomputed
+    ``IntClause.production`` agrees with ``TermOrder.production``
+    literal-for-literal, satisfaction is evaluated over the same normal
+    forms, and the caches are invalidated exactly when their inputs change
+    (pinned round for round by ``tests/test_kernel.py``).
     """
 
-    def __init__(self, core, order: TermOrder, verify: bool):
-        self._core = core
-        self._encoder = core.encoder
+    def __init__(self, order: TermOrder, verify: bool = True):
         self.order = order
         self.verify = verify
+        #: The paired kernel core, bound by the first :meth:`model_for_engine`.
+        self._core = None
+        self._encoder = None
         self._members: Set[IntClause] = set()
         self._keys: List[Tuple[int, ...]] = []
         self._ordered: List[IntClause] = []
@@ -591,12 +231,20 @@ class _DenseModelGenerator:
         #: ``(big, small)`` id pair, or ``_UNDECIDED``; the producing clause
         #: is the position's clause, so it is not stored.
         self._decisions: List[object] = []
+        #: Positions >= the barrier hold decisions made under a relation
+        #: prefix that no longer exists (an edge-producing clause before them
+        #: was removed); they must be re-evaluated.
         self._replay_barrier = 0
-        #: constant id -> clauses of the current set mentioning it.
+        #: constant id -> clauses of the current set mentioning it (the
+        #: invalidation neighbourhoods of the per-constant verification cache).
         self._clauses_by_const: Dict[int, Set[IntClause]] = {}
         self._verified_edges: Optional[FrozenSet[Tuple[int, int]]] = None
+        #: Normal form of every constant id at the last verification.
         self._verified_normal_forms: Dict[int, int] = {}
         self._verified_generators: Dict[Tuple[int, int], IntClause] = {}
+        #: Clauses whose satisfaction still has to be checked against the
+        #: current relation (everything else passed under normal forms that
+        #: have not moved since).
         self._unverified: Set[IntClause] = set()
         #: IntClause -> its (immutable) GeneratingClause record; an interned
         #: clause determines its equation, so the record never changes.
@@ -604,9 +252,23 @@ class _DenseModelGenerator:
         self._boundary_signature: Optional[List[Tuple[int, int, int]]] = None
         self._boundary_model: Optional[EqualityModel] = None
 
-    def model(self) -> EqualityModel:
-        """The candidate model of the paired core's current known set."""
-        added, removed = self._core.drain_known_changes_raw()
+    def model_for_engine(self, engine) -> EqualityModel:
+        """The candidate model of an engine's current known clause set.
+
+        The generator pairs with the first engine it is given (the change
+        feed supports one consumer, which is exactly the pairing the prover
+        creates); that engine must run the kernel.
+        """
+        if self._core is None:
+            core = engine.dense_core()
+            if core is None:
+                raise ValueError(
+                    "the incremental model generator needs a kernel engine; "
+                    "the reference engine uses generate_model"
+                )
+            self._core = core
+            self._encoder = core.encoder
+        added, removed = self._core.drain_known_changes()
         if added or removed:
             self._apply_changes(added, removed)
         edges, gen_of, normal_forms = self._construct()
@@ -641,7 +303,7 @@ class _DenseModelGenerator:
                     bucket.discard(clause)
         for clause in added:
             # Kernel clauses are pure by construction; the feed filters
-            # tautologies, but mirror the symbolic guards for direct users.
+            # tautologies, but mirror generate_model's guards.
             if clause.is_empty:
                 raise ValueError("cannot generate a model: the empty clause is present")
             if clause.is_tautology or clause in members:
@@ -667,9 +329,10 @@ class _DenseModelGenerator:
         trusted = True
         edges: Dict[int, int] = {}
         gen_of: Dict[Tuple[int, int], IntClause] = {}
-        # Normal forms of the relation built so far, maintained eagerly per
-        # edge exactly like the symbolic `_construct` (ids absent from the
-        # dict are their own normal form).
+        # Normal forms of the relation built so far, maintained eagerly as
+        # edges are added: evaluating a clause is then a dictionary hit per
+        # constant instead of a rewrite-chain chase (ids absent from the dict
+        # are their own normal form).
         normal_forms: Dict[int, int] = {}
         nf_get = normal_forms.get
         classes: Dict[int, List[int]] = {}
@@ -697,6 +360,9 @@ class _DenseModelGenerator:
                 else:
                     decision = decisions[position]
                     if decision is not _UNDECIDED:
+                        # Replay: the relation built so far equals the one
+                        # this decision was made under, so it still holds —
+                        # no satisfiability check needed.
                         if decision is not None:
                             big, small = decision
                             apply_edge(big, small)
@@ -723,6 +389,9 @@ class _DenseModelGenerator:
                     gen_of[(big, small)] = clause
                     fresh = (big, small)
             if trusted and fresh is not None:
+                # A newly inserted clause produced an edge the previous
+                # construction did not have: the recorded suffix no longer
+                # describes this relation.
                 trusted = False
             decisions[position] = fresh
         self._replay_barrier = len(self._ordered)
@@ -850,6 +519,24 @@ class _DenseModelGenerator:
         self._boundary_signature = signature
         self._boundary_model = model
         return model
+
+
+def _const_ids_of(clause: IntClause) -> List[int]:
+    """The dense constant ids occurring in a kernel clause (via its cmask).
+
+    Memoised on the clause — the change feed adds and later removes the same
+    record, and the cache resets with ``cmask`` on a rebuild.
+    """
+    ids = clause.const_ids
+    if ids is None:
+        mask = _cmask_of(clause)
+        ids = []
+        while mask:
+            low = mask & -mask
+            ids.append(low.bit_length() - 1)
+            mask ^= low
+        clause.const_ids = ids
+    return ids
 
 
 def _verify_model(

@@ -66,11 +66,11 @@ class RewriteRelation:
     ) -> "RewriteRelation":
         """A relation whose normal-form cache starts populated.
 
-        The dense model generator computes every known constant's normal form
-        as a by-product of its own (integer-side) construction; materialising
-        the boundary relation with those values already cached means the
-        downstream satisfaction and normalisation queries never re-chase a
-        rewrite chain the construction has already walked.  The caller
+        The incremental model generator computes every known constant's
+        normal form as a by-product of its own (integer-side) construction;
+        materialising the boundary relation with those values already cached
+        means the downstream satisfaction and normalisation queries never
+        re-chase a rewrite chain the construction has already walked.  The caller
         vouches that ``normal_forms`` maps constants to their exact normal
         forms under ``edges`` — a wrong value here silently corrupts
         satisfaction answers, so only construction-derived snapshots qualify.
@@ -114,10 +114,6 @@ class RewriteRelation:
     def domain(self) -> FrozenSet[Const]:
         """The set of reducible constants."""
         return frozenset(self._edges)
-
-    def edge_set(self) -> FrozenSet[Tuple[Const, Const]]:
-        """The edges as a frozen set of ``(source, target)`` pairs."""
-        return frozenset(self._edges.items())
 
     def is_irreducible(self, constant: Const) -> bool:
         """True when the constant has no outgoing edge."""
@@ -180,18 +176,6 @@ class RewriteRelation:
         return (cached(left) or self.normal_form(left)) == (
             cached(right) or self.normal_form(right)
         )
-
-    def normal_form_snapshot(self, constants: Iterable[Const]) -> Dict[Const, Const]:
-        """The normal form of every given constant, as one dictionary.
-
-        Unlike :meth:`substitution` this includes the irreducible constants
-        too — the result is a total snapshot of how the relation interprets
-        the given vocabulary.  The incremental model generator diffs two such
-        snapshots to find which constants (and hence which clauses) a change
-        of the edge set actually affected.
-        """
-        normal_form = self.normal_form
-        return {constant: normal_form(constant) for constant in constants}
 
     def substitution(self, constants: Iterable[Const]) -> Dict[Const, Const]:
         """The substitution mapping each given constant to its normal form.

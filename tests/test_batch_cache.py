@@ -189,6 +189,25 @@ class TestBatchProver:
         assert batch.statistics.timed_out == 2
         assert batch.statistics.failed == 2
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_clause_budget_yields_structured_failure(self, jobs):
+        """An exhausted ``max_saturation_clauses`` budget is one structured
+        failure on the first attempt — never a traceback, never retried —
+        and both execution paths report it identically."""
+        from repro.benchgen.random_unsat import UnsatParameters, random_unsat_batch
+
+        entailment = random_unsat_batch(UnsatParameters.paper(12), 1, seed=12)[0]
+        config = ProverConfig(max_saturation_clauses=50)
+        with BatchProver(config, jobs=jobs, cache=False) as batch:
+            (outcome,) = batch.prove_all([entailment])
+        assert isinstance(outcome, FailureInfo)
+        assert outcome.kind == "oom"
+        assert outcome.attempts == 1
+        assert "max_saturation_clauses" in outcome.detail
+        assert "50 clauses" in outcome.detail
+        assert batch.statistics.retried == 0
+        assert batch.statistics.oom == 1
+
     def test_rejects_bad_jobs(self):
         with pytest.raises(ValueError):
             BatchProver(jobs=0)

@@ -1,12 +1,12 @@
-"""Equivalence of the indexed fast paths against the reference implementations.
+"""Equivalence of the production path against the reference implementation.
 
-The clause index and the incremental model generator are pure optimisations:
-the engine must derive *identical* clauses in an *identical* order, and the
-prover must return identical verdicts with identical work counters, whether
-the fast paths are enabled (the default) or not (``ProverConfig.reference()``,
-which reproduces the seed engine's linear scans and from-scratch model
-builds).  These tests pin that property on a sizeable random corpus, at both
-the engine level and the whole-prover level.
+The production path (the dense kernel with its clause index, and the
+incremental model generator) is a pure optimisation: the engine must derive
+*identical* clauses in an *identical* order, and the prover must return
+identical verdicts with identical work counters, as the reference
+(``ProverConfig.reference()``, which reproduces the seed engine's linear
+scans and from-scratch model builds).  These tests pin that property on a
+sizeable random corpus, at both the engine level and the whole-prover level.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from repro.fuzz.generator import EntailmentGenerator, GeneratorProfile, STRATEGI
 from repro.logic.cnf import cnf
 from repro.logic.ordering import default_order
 from repro.semantics.satisfaction import falsifies_entailment
-from repro.superposition.index import ClauseIndex
 from repro.superposition.saturation import SaturationEngine
 
 #: Size of the random-entailment corpus (the acceptance criterion asks >= 200).
@@ -64,43 +63,33 @@ def test_indexed_prover_matches_reference_on_corpus():
             assert falsifies_entailment(cex.stack, cex.heap, entailment)
 
 
-#: The {kernel} x {index} x {bitset} engine matrix: bitset subsumption
-#: requires the kernel, so the full cross product has six members.
-ENGINE_MATRIX = tuple(
-    (use_kernel, use_index, use_bitset)
-    for use_kernel in (True, False)
-    for use_index in (True, False)
-    for use_bitset in ((True, False) if use_kernel else (False,))
-)
+#: The two engines, production (the kernel) first, then the reference.
+ENGINE_MATRIX = (True, False)
+
+
+def _saturated_engines(entailment):
+    """One fully saturated engine per member of :data:`ENGINE_MATRIX`."""
+    embedding = cnf(entailment)
+    engines = []
+    for use_kernel in ENGINE_MATRIX:
+        engine = SaturationEngine(default_order(entailment.constants()), use_kernel=use_kernel)
+        engine.add_clauses(embedding.pure_clauses)
+        engine.saturate()
+        engines.append(engine)
+    return engines
 
 
 def test_indexed_engine_derives_identical_clause_sets():
     """The given-clause loop itself: same actives, in the same order, same counts.
 
-    The matrix covers the clause index, the integer kernel and bitset
-    subsumption independently — all six configurations must agree
-    clause-for-clause (see also tests/test_kernel.py for the kernel-specific
-    pins).
+    The production engine must agree clause-for-clause with the reference
+    (see also tests/test_kernel.py for the kernel-specific pins).
     """
     for entailment in _corpus()[:60]:
-        embedding = cnf(entailment)
-        engines = []
-        for use_kernel, use_index, use_bitset in ENGINE_MATRIX:
-            order = default_order(entailment.constants())
-            engine = SaturationEngine(
-                order,
-                use_index=use_index,
-                use_kernel=use_kernel,
-                use_bitset=use_bitset,
-            )
-            engine.add_clauses(embedding.pure_clauses)
-            engine.saturate()
-            engines.append(engine)
-        naive = engines[-1]
-        for engine in engines[:-1]:
-            assert engine.refuted == naive.refuted
-            assert engine.clauses() == naive.clauses()
-            assert engine.generated_count == naive.generated_count
+        production, reference = _saturated_engines(entailment)
+        assert production.refuted == reference.refuted
+        assert production.clauses() == reference.clauses()
+        assert production.generated_count == reference.generated_count
 
 
 class TestGeneratorRoutedProperties:
@@ -134,28 +123,17 @@ class TestGeneratorRoutedProperties:
     @given(seed=st.integers(min_value=0, max_value=2 ** 30))
     def test_engine_clause_sets_agree_on_generated_instances(self, seed):
         entailment = EntailmentGenerator(seed=seed).case(0).entailment
-        embedding = cnf(entailment)
-        engines = []
-        for use_kernel, use_index, use_bitset in ENGINE_MATRIX:
-            order = default_order(entailment.constants())
-            engine = SaturationEngine(
-                order,
-                use_index=use_index,
-                use_kernel=use_kernel,
-                use_bitset=use_bitset,
-            )
-            engine.add_clauses(embedding.pure_clauses)
-            engine.saturate()
-            engines.append(engine)
-        naive = engines[-1]
-        for engine in engines[:-1]:
-            assert engine.refuted == naive.refuted
-            assert engine.clauses() == naive.clauses()
-            assert engine.generated_count == naive.generated_count
+        production, reference = _saturated_engines(entailment)
+        assert production.refuted == reference.refuted
+        assert production.clauses() == reference.clauses()
+        assert production.generated_count == reference.generated_count
 
 
 class TestClauseIndex:
-    """Unit tests of the index against brute-force answers."""
+    """The kernel's clause index against brute-force answers over the
+    symbolic clauses its dense records encode (see also
+    ``test_bitset_queries_match_brute_force`` in tests/test_kernel.py, which
+    checks the same queries against the raw code tuples)."""
 
     @staticmethod
     def _random_pure_clauses(rng, count=120, n_vars=6):
@@ -182,68 +160,75 @@ class TestClauseIndex:
                 clauses.append(clause)
         return clauses
 
+    @staticmethod
+    def _encoded(clauses):
+        """The clauses' order, and their dense forms under one encoder."""
+        from repro.superposition.kernel import DenseEncoder
+
+        order = default_order([c for clause in clauses for c in clause.constants()])
+        encoder = DenseEncoder(order)
+        return order, [encoder.encode_clause(clause) for clause in clauses]
+
     def test_subsumption_queries_match_brute_force(self):
+        from repro.superposition.kernel import IntClauseIndex
+
         rng = random.Random(7)
         clauses = self._random_pure_clauses(rng)
-        order = default_order(
-            [c for clause in clauses for c in clause.constants()]
-        )
-        index = ClauseIndex(order)
+        _, encoded = self._encoded(clauses)
+        symbolic_of = dict(zip(encoded, clauses))
+        index = IntClauseIndex()
         active = []
-        for clause in clauses:
-            expected_forward = any(a.subsumes(clause) for a in active)
-            assert index.is_subsumed(clause) == expected_forward
-            expected_backward = {a for a in active if clause.subsumes(a)}
-            assert index.subsumed_by(clause) == expected_backward
+        for clause, dense in zip(clauses, encoded):
+            expected_forward = any(symbolic_of[a].subsumes(clause) for a in active)
+            assert index.is_subsumed(dense) == expected_forward
+            expected_backward = [a for a in active if clause.subsumes(symbolic_of[a])]
+            assert set(index.subsumed_by(dense)) == set(expected_backward)
             # Mirror the engine: drop the subsumed, then activate the clause.
             for victim in expected_backward:
                 index.remove(victim)
                 active.remove(victim)
-            index.add(clause)
-            active.append(clause)
+            index.add(dense)
+            active.append(dense)
         assert len(index) == len(active)
 
     def test_inference_partners_is_a_superset_of_productive_pairs(self):
         from repro.superposition.calculus import SuperpositionCalculus
+        from repro.superposition.kernel import IntClauseIndex
 
         rng = random.Random(11)
         clauses = self._random_pure_clauses(rng, count=80)
-        order = default_order(
-            [c for clause in clauses for c in clause.constants()]
-        )
+        order, encoded = self._encoded(clauses)
         calculus = SuperpositionCalculus(order)
-        index = ClauseIndex(order)
+        index = IntClauseIndex()
         active = []
-        for given in clauses:
-            partners = index.inference_partners(given)
+        for given, dense_given in zip(clauses, encoded):
+            partners = index.inference_partners(dense_given)
             partner_set = set(partners)
             # Soundness: every pair the naive scan would find is offered.
-            for other in active:
-                if other == given:
-                    continue
+            for other, dense_other in active:
                 if calculus.infer_between(given, other) or calculus.infer_between(
                     other, given
                 ):
-                    assert other in partner_set, (given, other)
+                    assert dense_other in partner_set, (given, other)
             # Order: partners come back in activation order.
-            positions = [active.index(p) for p in partners]
+            activation = [dense for _, dense in active]
+            positions = [activation.index(p) for p in partners]
             assert positions == sorted(positions)
-            index.add(given)
-            active.append(given)
+            index.add(dense_given)
+            active.append((given, dense_given))
 
     def test_remove_is_complete(self):
+        from repro.superposition.kernel import IntClauseIndex
+
         rng = random.Random(3)
-        clauses = self._random_pure_clauses(rng, count=40)
-        order = default_order(
-            [c for clause in clauses for c in clause.constants()]
-        )
-        index = ClauseIndex(order)
-        for clause in clauses:
+        _, encoded = self._encoded(self._random_pure_clauses(rng, count=40))
+        index = IntClauseIndex()
+        for clause in encoded:
             index.add(clause)
-        for clause in clauses:
+        for clause in encoded:
             index.remove(clause)
         assert len(index) == 0
-        for clause in clauses:
+        for clause in encoded:
             assert not index.is_subsumed(clause)
-            assert index.subsumed_by(clause) == set()
+            assert index.subsumed_by(clause) == []
             assert index.inference_partners(clause) == []

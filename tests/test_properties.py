@@ -211,8 +211,9 @@ def test_indexed_paths_match_reference_paths(entailment):
 @SLOW
 @given(st.integers(min_value=0, max_value=2 ** 30))
 def test_incremental_model_generator_matches_one_shot(seed):
-    # Feed the same growing clause sets to the incremental generator and to
-    # generate_model; the rewrite relations must coincide at every round.
+    # Pair the incremental generator with the engine and feed the same
+    # growing clause sets to generate_model; the rewrite relations must
+    # coincide at every round.
     from repro.logic.cnf import cnf
     from repro.logic.ordering import default_order
     from repro.superposition.model import (
@@ -239,7 +240,7 @@ def test_incremental_model_generator_matches_one_shot(seed):
         except ModelGenerationError:
             one_shot = None
         try:
-            rolling = incremental.model_for(clauses)
+            rolling = incremental.model_for_engine(engine)
         except ModelGenerationError:
             rolling = None
         assert (one_shot is None) == (rolling is None)

@@ -1,6 +1,7 @@
 """Tests for the utility helpers, the proof objects and the command-line interface."""
 
 import os
+import subprocess
 import sys
 
 import pytest
@@ -107,6 +108,20 @@ class TestProofObjects:
 
 
 class TestCli:
+    def test_cli_import_does_not_load_numpy(self):
+        """numpy is no dependency of the prover: importing the CLI (the
+        start-up path of every ``slp`` process and pool worker) must not
+        load it."""
+        import repro
+
+        source_root = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        env = dict(os.environ, PYTHONPATH=source_root)
+        completed = subprocess.run(
+            [sys.executable, "-c", "import sys, repro.cli; print('numpy' in sys.modules)"],
+            env=env, capture_output=True, text=True, timeout=60, check=True,
+        )
+        assert completed.stdout.strip() == "False"
+
     def test_cli_on_file(self, tmp_path, capsys):
         path = tmp_path / "entailments.txt"
         path.write_text(
