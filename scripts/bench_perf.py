@@ -19,6 +19,11 @@ Two engine configurations are timed on identical batches:
   as interning and hash caching, so it is a *lower bound* on the speedup over
   the seed commit).
 
+A ``canonical`` section times the proof cache's canonicaliser
+(``repro.logic.canonical``) on the Table 3 workload: the suite verification
+conditions cloned k = 1, 2 and 4 times, the most symmetric inputs the cache
+has to key.
+
 A ``batch`` section additionally measures the batch engine
 (``repro.core.batch``): parallel scaling of the Table 1 n=20 row across
 ``--jobs`` worker processes, and the throughput of answering an
@@ -46,12 +51,15 @@ import time
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
 
+from repro.benchgen.cloning import clone_entailment  # noqa: E402
 from repro.benchgen.random_unsat import UnsatParameters, random_unsat_batch  # noqa: E402
 from repro.core.atomicio import atomic_write_json  # noqa: E402
 from repro.core.batch import BatchProver  # noqa: E402
 from repro.core.cache import PersistentProofCache, ProofCache  # noqa: E402
 from repro.core.config import ProverConfig  # noqa: E402
 from repro.core.prover import Prover  # noqa: E402
+from repro.frontend.examples_suite import generate_suite_vcs  # noqa: E402
+from repro.logic.canonical import TooSymmetricError, canonicalize  # noqa: E402
 from repro.logic.terms import make_const  # noqa: E402
 
 #: Wall-clock seconds of the *seed commit* (da8c932, pre-index engine) on the
@@ -143,6 +151,46 @@ def run_rows_section(configs, rows, instances: int, repeats: int = 3):
                 )
             )
     return [results[label] for label, _ in configs]
+
+
+def run_canonical_section():
+    """Canonicalisation cost on the suite VCs cloned k = 1, 2 and 4 times.
+
+    A clone is k disjoint, identical copies of one VC, so its automorphism
+    group holds every permutation of the copies: the input the
+    individualisation search must prune.  Per clone factor the row records
+    the total and worst ``canonicalize`` seconds and the number of budget
+    opt-outs (``TooSymmetricError``: keys the proof cache cannot use).
+    """
+    vcs = [condition.entailment for condition in generate_suite_vcs()]
+    rows = []
+    for copies in (1, 2, 4):
+        total = worst = 0.0
+        opted_out = 0
+        for entailment in vcs:
+            clone = clone_entailment(entailment, copies)
+            start = time.perf_counter()
+            try:
+                canonicalize(clone)
+            except TooSymmetricError:
+                opted_out += 1
+            elapsed = time.perf_counter() - start
+            total += elapsed
+            worst = max(worst, elapsed)
+        rows.append(
+            {
+                "copies": copies,
+                "instances": len(vcs),
+                "seconds": round(total, 4),
+                "worst_seconds": round(worst, 4),
+                "opted_out": opted_out,
+            }
+        )
+        print(
+            "[bench_perf] canonical k={} {:>3} VCs {:>8.3f}s  worst {:.4f}s  "
+            "opted out {}".format(copies, len(vcs), total, worst, opted_out)
+        )
+    return rows
 
 
 def _timed_batch(config, jobs, cache, batch):
@@ -421,6 +469,7 @@ def main(argv=None) -> int:
             row["speedup_vs_seed"] = round(seed_seconds / idx["seconds"], 2)
         merged.append(row)
 
+    canonical_section = run_canonical_section()
     batch_section = run_batch_section(args.quick, jobs)
     theory_section = run_theory_section(args.quick)
 
@@ -432,6 +481,7 @@ def main(argv=None) -> int:
         "python": platform.python_version(),
         "quick": args.quick,
         "rows": merged,
+        "canonical": canonical_section,
         "batch": batch_section,
         "theories": theory_section,
         "total": {
@@ -449,7 +499,10 @@ def main(argv=None) -> int:
             "on the speedup over the seed commit).  seed_seconds, when "
             "present (--seed-baseline), were measured at the seed commit "
             "(da8c932) with 40 instances per row and are only comparable on "
-            "the machine that produced them.  batch.parallel scaling is bounded by cpu_count (a "
+            "the machine that produced them.  canonical times "
+            "canonicalize on the suite VCs cloned k times; opted_out counts "
+            "clones too symmetric to key within the default budget.  "
+            "batch.parallel scaling is bounded by cpu_count (a "
             "1-core host shows the IPC overhead, not a speedup); "
             "batch.cache is host-independent: it reports the throughput of "
             "answering an alpha-renamed copy of the corpus from the warm "

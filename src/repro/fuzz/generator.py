@@ -16,9 +16,10 @@ distributions never produce:
 * ``diseq_chain`` — disequality chains over a ``next``/``lseg`` path with a
   folded right-hand side, the shape where U3-U5 side conditions matter;
 * ``near_symmetric`` — disjoint copies of one identical gadget, the inputs
-  that drive :mod:`repro.logic.canonical`'s individualisation search towards
-  its budget (and, past it, into the :class:`~repro.logic.canonical.TooSymmetricError`
-  cache opt-out).
+  with the largest automorphism groups, which :mod:`repro.logic.canonical`'s
+  individualisation search must prune to key them within its budget (the
+  :class:`~repro.logic.canonical.TooSymmetricError` cache opt-out is only
+  reached under a tighter explicit budget).
 
 Determinism is the load-bearing property: instance ``i`` of a campaign with
 seed ``s`` is drawn from ``random.Random("slp-fuzz:s:i")`` and therefore never
@@ -268,10 +269,10 @@ def _near_symmetric(rng: random.Random, profile: GeneratorProfile) -> Entailment
     """Disjoint copies of one identical gadget: maximal structural symmetry.
 
     Colour refinement cannot separate the copies (every variable looks the
-    same), so canonicalisation must individualise; from about six copies of
-    the two-variable gadgets the search exceeds its refinement budget and
-    takes the documented :class:`~repro.logic.canonical.TooSymmetricError`
-    cache opt-out.  The entailment itself stays easy for the prover — the
+    same), so canonicalisation must individualise, and only the automorphisms
+    its search discovers between copies keep it from branching factorially:
+    seven copies key in under sixty refinement passes, well within the
+    default budget.  The entailment itself stays easy for the prover — the
     stress is aimed at the batch layer's fingerprinting.
     """
     copies = rng.randint(2, 7)

@@ -30,15 +30,30 @@ from graph canonicalisation:
    the multiset of (edge label, neighbour colour) pairs over its occurrences.
    Refinement is isomorphism-invariant, so renamings get the same colours;
 3. if refinement leaves ties (a colour class with several constants), branch:
-   individualise each member of the first tied class in turn, re-refine,
-   recurse, and keep the branch whose fully ordered encoding is
-   lexicographically smallest.  Taking the minimum over *all* members keeps
-   the result independent of the input names.
+   individualise each member of the first tied class in turn, re-refine and
+   recurse.  Every leaf of this search tree is a discrete colouring, hence an
+   encoding, and the key is the lexicographically smallest encoding over
+   *all* leaves — a choice independent of the input names;
+4. prune the tree with the automorphisms it discovers (McKay & Piperno,
+   *Practical graph isomorphism II*, 2014).  Two leaves with equal encodings
+   yield an automorphism: map each constant to the constant at the same
+   position in the other leaf.  It maps one leaf's path onto the other's, so
+   it fixes their common prefix and carries the whole subtree we are in onto
+   an already explored sibling subtree — the search abandons it and resumes
+   at the node where the two paths part.  And at a node whose individualised
+   path is ``P``, a tied candidate in the same orbit as an explored sibling
+   (orbits of the automorphisms found so far that fix ``P`` pointwise) is
+   skipped outright.  Either way the skipped subtree is the image of an
+   explored one under an automorphism, so it holds exactly the same leaf
+   encodings and the minimum — the key — is unchanged.
 
-Entailments in this fragment are small (tens of constants) and rarely
-symmetric, so the branching is almost always trivial; a refinement budget
-guards the pathological fully-symmetric cases, which simply opt out of
-caching via :class:`TooSymmetricError`.
+Entailments in this fragment are small (tens of constants).  Asymmetric ones
+refine to a single leaf; symmetric ones such as the Table 3 clones (``k``
+disjoint copies of one verification condition) cost a number of refinement
+passes roughly quadratic in ``k`` instead of factorial (``n`` disjoint list
+segments take ``n * (n + 1)`` passes).  A refinement budget still
+bounds the worst case: inputs that exhaust it opt out of caching via
+:class:`TooSymmetricError`.
 """
 
 from __future__ import annotations
@@ -73,8 +88,9 @@ _DEFAULT_BUDGET = 2000
 class TooSymmetricError(RuntimeError):
     """The individualisation search exceeded its refinement budget.
 
-    Only (nearly) fully symmetric entailments trigger this; callers treat
-    such inputs as uncacheable rather than spending factorial time on them.
+    Only large, highly symmetric entailments trigger this (fifty disjoint
+    list segments exceed the default budget); callers treat such inputs as
+    uncacheable rather than spending unbounded time on them.
     """
 
 
@@ -206,16 +222,69 @@ def _encode(entailment: Entailment, index: Mapping[Const, int]) -> _Key:
     )
 
 
-def _search(
-    entailment: Entailment,
-    refiner: _Refiner,
-    colours: Dict[Const, int],
-) -> Tuple[_Key, Dict[Const, int]]:
-    """Individualisation-refinement: the minimal encoding over all tie-breaks."""
-    colours = refiner.refine(colours)
-    cells = _cells(colours)
-    tied = next((cell for cell in cells if len(cell) > 1), None)
-    if tied is None:
+#: A path through the search tree: the constants individualised so far.
+_Path = Tuple[Const, ...]
+
+
+def _find(parent: Dict[Const, Const], constant: Const) -> Const:
+    """Union-find root of ``constant`` (absent constants are their own root)."""
+    while constant in parent:
+        constant = parent[constant]
+    return constant
+
+
+class _PrunedSearch:
+    """Individualisation-refinement pruned by the automorphisms it discovers.
+
+    ``automorphisms`` holds every non-trivial automorphism found so far, each
+    stored sparsely as its moved points.  ``leaves`` remembers, per distinct
+    leaf key, the first leaf that produced it.
+    """
+
+    def __init__(self, entailment: Entailment, refiner: _Refiner):
+        self.entailment = entailment
+        self.refiner = refiner
+        self.best: Optional[Tuple[_Key, Dict[Const, int]]] = None
+        self.leaves: Dict[_Key, Tuple[_Path, Dict[int, Const]]] = {}
+        self.automorphisms: List[Dict[Const, Const]] = []
+
+    def visit(self, colours: Dict[Const, int], path: _Path) -> Optional[int]:
+        """Explore the subtree below ``path``.
+
+        Returns ``None`` when the subtree is done, or the depth of the
+        ancestor the search should resume at: every node deeper than that is
+        abandoned because an automorphism maps it onto explored ground.
+        """
+        colours = self.refiner.refine(colours)
+        tied = next((cell for cell in _cells(colours) if len(cell) > 1), None)
+        if tied is None:
+            return self._leaf(colours, path)
+        fresh = len(colours)  # strictly above every existing colour id
+        parent: Dict[Const, Const] = {}
+        absorbed = 0
+        explored: List[Const] = []
+        for candidate in tied:
+            # Union the orbits of every automorphism found since the last
+            # candidate that fixes this node's path pointwise.
+            for gamma in self.automorphisms[absorbed:]:
+                if all(gamma.get(p, p) == p for p in path):
+                    for moved, image in gamma.items():
+                        root_a, root_b = _find(parent, moved), _find(parent, image)
+                        if root_a != root_b:
+                            parent[root_a] = root_b
+            absorbed = len(self.automorphisms)
+            root = _find(parent, candidate)
+            if any(_find(parent, sibling) == root for sibling in explored):
+                continue
+            explored.append(candidate)
+            branched = dict(colours)
+            branched[candidate] = fresh
+            resume = self.visit(branched, path + (candidate,))
+            if resume is not None and resume < len(path):
+                return resume
+        return None
+
+    def _leaf(self, colours: Dict[Const, int], path: _Path) -> Optional[int]:
         # Discrete colouring: the colours induce a total order.  nil is pinned
         # to position 0 — it can never be renamed, so the key must record
         # which node it is — and the variables take 1..n in colour order.
@@ -225,17 +294,36 @@ def _search(
             # No nil anywhere: shift positions up so 0 still unambiguously
             # means "nil" across the whole key space.
             index = {constant: position + 1 for constant, position in index.items()}
-        return _encode(entailment, index), index
-    fresh = len(colours)  # strictly above every existing colour id
-    best: Optional[Tuple[_Key, Dict[Const, int]]] = None
-    for candidate in tied:
-        branched = dict(colours)
-        branched[candidate] = fresh
-        outcome = _search(entailment, refiner, branched)
-        if best is None or outcome[0] < best[0]:
-            best = outcome
-    assert best is not None
-    return best
+        key = _encode(self.entailment, index)
+        earlier = self.leaves.get(key)
+        if earlier is None:
+            self.leaves[key] = (path, {position: c for c, position in index.items()})
+            if self.best is None or key < self.best[0]:
+                self.best = (key, index)
+            return None
+        # Equal keys: mapping each constant to the one at the same position
+        # in the earlier leaf is an automorphism, and it maps this leaf's path
+        # onto the earlier one's.  So it fixes their common prefix and maps
+        # the child we are in onto an explored sibling: the rest of that
+        # child's subtree repeats keys already seen.
+        earlier_path, earlier_at = earlier
+        gamma = {c: earlier_at[position] for c, position in index.items()}
+        self.automorphisms.append({c: image for c, image in gamma.items() if c != image})
+        return next(
+            depth for depth, (a, b) in enumerate(zip(path, earlier_path)) if a != b
+        )
+
+
+def _search(
+    entailment: Entailment,
+    refiner: _Refiner,
+    colours: Dict[Const, int],
+) -> Tuple[_Key, Dict[Const, int]]:
+    """Individualisation-refinement: the minimal encoding over all leaves."""
+    search = _PrunedSearch(entailment, refiner)
+    search.visit(colours, ())
+    assert search.best is not None
+    return search.best
 
 
 @dataclass(frozen=True)

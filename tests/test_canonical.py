@@ -11,18 +11,28 @@ the canonical representative).
 from __future__ import annotations
 
 import random
+from functools import lru_cache
+from typing import Dict, Optional, Tuple
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.benchgen.cloning import clone_entailment
+from repro.frontend.examples_suite import generate_suite_vcs
+from repro.fuzz.generator import EntailmentGenerator, GeneratorProfile
 from repro.logic.canonical import (
+    _DEFAULT_BUDGET,
     TooSymmetricError,
+    _cells,
+    _encode,
+    _occurrence_table,
+    _Refiner,
     canonical_entailment,
     canonicalize,
     fingerprint,
 )
 from repro.logic.formula import Entailment, eq, lseg, neq, pts
-from repro.logic.terms import make_const
+from repro.logic.terms import NIL, Const, make_const
 from tests.conftest import make_random_entailment
 
 SLOW = settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -130,17 +140,140 @@ def test_empty_entailment_is_canonicalisable():
     assert canonicalize(empty).renaming == {}
 
 
-def test_pathologically_symmetric_inputs_opt_out():
-    # Eight disjoint, indistinguishable segments: the individualisation tree
-    # is factorial, so the canonicaliser must give up within its budget
-    # rather than stall the batch pipeline.
-    big = Entailment.build(
-        lhs=[lseg("a{}".format(i), "b{}".format(i)) for i in range(8)]
+def _segments(count: int) -> Entailment:
+    """``count`` disjoint, indistinguishable list segments."""
+    return Entailment.build(
+        lhs=[lseg("a{}".format(i), "b{}".format(i)) for i in range(count)]
     )
+
+
+def test_pathologically_symmetric_inputs_opt_out():
+    # Fifty disjoint, indistinguishable segments: even the automorphism-pruned
+    # search needs 50 * 51 refinement passes, past the default budget, so the
+    # canonicaliser must give up rather than stall the batch pipeline.
     with pytest.raises(TooSymmetricError):
-        fingerprint(big)
+        fingerprint(_segments(50))
+    # Eight segments are cheap under pruning and keyed invariantly.
+    eight = _segments(8)
+    assert fingerprint(eight) == fingerprint(eight.rename(_alpha_rename(eight, random.Random(8))))
     # Small symmetric inputs stay within budget.
     small = Entailment.build(lhs=[lseg("a0", "b0"), lseg("a1", "b1")])
     rng = random.Random(5)
     renamed = small.rename(_alpha_rename(small, rng))
     assert fingerprint(small) == fingerprint(renamed)
+
+
+# ---------------------------------------------------------------------------
+# The automorphism-pruned search against the exhaustive one
+# ---------------------------------------------------------------------------
+
+
+def _exhaustive_search(
+    entailment: Entailment,
+    refiner: _Refiner,
+    colours: Dict[Const, int],
+) -> Tuple[tuple, Dict[Const, int]]:
+    """The unpruned individualisation-refinement search, kept as an oracle."""
+    colours = refiner.refine(colours)
+    cells = _cells(colours)
+    tied = next((cell for cell in cells if len(cell) > 1), None)
+    if tied is None:
+        ordered = sorted(colours, key=lambda c: (0 if c.is_nil else 1, colours[c]))
+        index = {constant: position for position, constant in enumerate(ordered)}
+        if not any(c.is_nil for c in colours):
+            index = {constant: position + 1 for constant, position in index.items()}
+        return _encode(entailment, index), index
+    fresh = len(colours)
+    best: Optional[Tuple[tuple, Dict[Const, int]]] = None
+    for candidate in tied:
+        branched = dict(colours)
+        branched[candidate] = fresh
+        outcome = _exhaustive_search(entailment, refiner, branched)
+        if best is None or outcome[0] < best[0]:
+            best = outcome
+    assert best is not None
+    return best
+
+
+def _exhaustive_key(entailment: Entailment, budget: int = _DEFAULT_BUDGET) -> Optional[tuple]:
+    """The exhaustive search's key, or ``None`` when it exceeds ``budget``."""
+    occurrences = _occurrence_table(entailment)
+    colours = {c: (0 if c.is_nil else 1) for c in occurrences}
+    if not colours:
+        return _encode(entailment, {})
+    try:
+        return _exhaustive_search(entailment, _Refiner(occurrences, budget), colours)[0]
+    except TooSymmetricError:
+        return None
+
+
+def _assert_agrees_with_exhaustive(entailment: Entailment) -> bool:
+    """Pruned key == exhaustive key whenever the oracle finishes; True if it did.
+
+    Also checks that the returned renaming realises the key: renaming the
+    entailment into ``c1..cn`` and encoding ``ci`` as position ``i`` (``nil``
+    as 0) reproduces it.
+    """
+    form = canonicalize(entailment)
+    positions = {canonical: int(canonical.name[1:]) for canonical in form.inverse}
+    if any(c.is_nil for c in entailment.constants()):
+        positions[NIL] = 0
+    assert _encode(entailment.rename(dict(form.renaming)), positions) == form.key
+    expected = _exhaustive_key(entailment)
+    if expected is None:
+        return False
+    assert form.key == expected
+    return True
+
+
+@lru_cache(maxsize=None)
+def _distinct_suite_vcs() -> Tuple[Entailment, ...]:
+    """One suite verification condition per alpha-equivalence class."""
+    seen: Dict[tuple, Entailment] = {}
+    for condition in generate_suite_vcs():
+        seen.setdefault(fingerprint(condition.entailment), condition.entailment)
+    return tuple(seen.values())
+
+
+def _near_symmetric_instances():
+    profile = GeneratorProfile.only("near_symmetric")
+    return EntailmentGenerator(seed=1, profile=profile).entailments(60)
+
+
+@SLOW
+@given(
+    st.integers(min_value=0, max_value=2 ** 30),
+    st.integers(min_value=2, max_value=5),
+    st.integers(min_value=1, max_value=3),
+)
+def test_pruned_key_equals_exhaustive_key_on_random_entailments(seed, n_vars, copies):
+    # Cloning a random entailment plants automorphisms for the pruning to
+    # find; small variable pools add symmetric structure inside each copy.
+    entailment = make_random_entailment(random.Random(seed), n_vars=n_vars)
+    _assert_agrees_with_exhaustive(clone_entailment(entailment, copies))
+
+
+@pytest.mark.parametrize("copies", [2, 3, 4])
+def test_pruned_key_equals_exhaustive_key_on_cloned_suite_vcs(copies):
+    compared = sum(
+        _assert_agrees_with_exhaustive(clone_entailment(entailment, copies))
+        for entailment in _distinct_suite_vcs()
+    )
+    # The oracle finishes on most clones; k=4 is where it starts to run out.
+    assert compared >= len(_distinct_suite_vcs()) // 2
+
+
+def test_pruned_key_equals_exhaustive_key_on_the_near_symmetric_family():
+    compared = sum(
+        _assert_agrees_with_exhaustive(entailment) for entailment in _near_symmetric_instances()
+    )
+    assert compared >= 30
+
+
+def test_pruning_keeps_symmetric_inputs_within_a_small_budget():
+    # A deterministic pass count, not a timing: the exhaustive search needed
+    # more than 2000 passes on 16 of these clones; with pruning every one
+    # fits in 400, so pruning cannot silently switch off.
+    for condition in generate_suite_vcs():
+        canonicalize(clone_entailment(condition.entailment, 4), budget=400)
+    canonicalize(_segments(8), budget=400)

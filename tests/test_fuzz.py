@@ -38,6 +38,7 @@ from repro.logic.atoms import ListSegment
 from repro.logic.formula import Entailment
 from repro.logic.parser import parse_entailment
 from repro.logic.printer import format_entailment
+from repro.logic.terms import make_const
 from tests.conftest import KNOWN_VERDICTS
 
 
@@ -90,18 +91,27 @@ class TestGenerator:
             GeneratorProfile(weights={"mixed": 0.0})
 
     def test_near_symmetric_family_reaches_the_canonical_opt_out(self):
-        # The family exists to stress logic/canonical.py's budget opt-out: a
-        # visible fraction of instances must actually take it (the batch
-        # layer then proves them uncached), while the rest canonicalise fine.
+        # The family stresses logic/canonical.py's individualisation search:
+        # with automorphism pruning every instance keys within the default
+        # budget, invariantly under alpha-renaming, while a tight explicit
+        # budget still drives some of them into the TooSymmetricError opt-out.
         from repro.logic.canonical import TooSymmetricError, canonicalize
 
         cases = EntailmentGenerator(
             seed=1, profile=GeneratorProfile.only("near_symmetric")
         ).cases(60)
         opted_out = 0
-        for case in cases:
+        for number, case in enumerate(cases):
+            entailment = case.entailment
+            names = sorted(entailment.variables())
+            shuffled = list(names)
+            random.Random(number).shuffle(shuffled)
+            renamed = entailment.rename(
+                {c: make_const("r_" + fresh.name) for c, fresh in zip(names, shuffled)}
+            )
+            assert canonicalize(entailment).key == canonicalize(renamed).key
             try:
-                canonicalize(case.entailment)
+                canonicalize(entailment, budget=20)
             except TooSymmetricError:
                 opted_out += 1
         assert 0 < opted_out < len(cases)
