@@ -30,6 +30,11 @@ A ``batch`` section additionally measures the batch engine
 alpha-renamed copy of a corpus from the warm proof cache.  See
 PERFORMANCE.md ("How the batch section is produced") for how to read it.
 
+A ``wellformed`` section times the well-formedness rules (W1-W5 and the
+doubly-linked D-rules) on well-formed singly- and doubly-linked chains of
+20, 80 and 320 atoms: seconds per call, which stays proportional to the
+number of atoms because only colliding atom pairs are visited.
+
 Usage::
 
     PYTHONPATH=src python scripts/bench_perf.py            # full run
@@ -382,6 +387,77 @@ def run_theory_section(quick: bool):
     return rows
 
 
+def wellformed_chain(theory: str, atoms: int):
+    """A well-formed positive clause: a ``theory`` chain of ``atoms`` atoms.
+
+    ``sll`` alternates ``next`` cells and ``lseg`` segments; ``dll``
+    alternates ``cell`` atoms and two-cell ``dlseg`` segments, so every
+    segment has a back anchor of its own.  No rule fires on either chain.
+    """
+    from repro.logic.atoms import SpatialFormula
+    from repro.logic.clauses import Clause
+    from repro.logic.formula import dcell, dlseg, lseg, pts
+
+    names = ["w{}".format(index) for index in range(2 * atoms + 2)]
+    chain = []
+    position = 0
+    for index in range(atoms):
+        head = names[position]
+        if theory == "sll":
+            chain.append((pts if index % 2 else lseg)(head, names[position + 1]))
+            position += 1
+        elif index % 2:
+            chain.append(dcell(head, names[position + 1], names[position - 1]))
+            position += 1
+        else:
+            prev = names[position - 1] if position else "nil"
+            chain.append(dlseg(head, prev, names[position + 2], names[position + 1]))
+            position += 2
+    return Clause.positive_spatial(SpatialFormula(chain))
+
+
+def run_wellformed_section(quick: bool):
+    """Seconds per ``well_formedness_consequences`` call on well-formed chains.
+
+    One row per theory and chain length (20, 80 and 320 atoms).  Each row is
+    the best of a few rounds of repeated calls on the same clause; the rounds
+    hold about as many atoms in total whatever the length, so the longer
+    chains are not timed on fewer atoms.  ``per_atom_us`` staying flat as the
+    length grows is what "linear" means here.
+    """
+    from repro.spatial.wellformedness import well_formedness_consequences
+
+    repeats = 3 if quick else 7
+    budget = 4000 if quick else 40000  # atoms visited per round
+    rows = []
+    for theory in ("sll", "dll"):
+        for atoms in (20, 80, 320):
+            clause = wellformed_chain(theory, atoms)
+            if well_formedness_consequences(clause):
+                raise SystemExit("bench_perf: the {} chain is not well-formed".format(theory))
+            calls = max(1, budget // atoms)
+            best = float("inf")
+            for _ in range(repeats):
+                start = time.perf_counter()
+                for _ in range(calls):
+                    well_formedness_consequences(clause)
+                best = min(best, (time.perf_counter() - start) / calls)
+            rows.append(
+                {
+                    "theory": theory,
+                    "atoms": atoms,
+                    "calls": calls,
+                    "seconds_per_call": round(best, 7),
+                    "per_atom_us": round(1e6 * best / atoms, 3),
+                }
+            )
+            print(
+                "[bench_perf] wellformed/{:<4} n={:<4} {:>10.1f} us/call  "
+                "({:.3f} us/atom)".format(theory, atoms, 1e6 * best, rows[-1]["per_atom_us"])
+            )
+    return rows
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -472,6 +548,7 @@ def main(argv=None) -> int:
     canonical_section = run_canonical_section()
     batch_section = run_batch_section(args.quick, jobs)
     theory_section = run_theory_section(args.quick)
+    wellformed_section = run_wellformed_section(args.quick)
 
     total_indexed = sum(row["indexed_seconds"] for row in merged)
     total_reference = sum(row["reference_seconds"] for row in merged)
@@ -484,6 +561,7 @@ def main(argv=None) -> int:
         "canonical": canonical_section,
         "batch": batch_section,
         "theories": theory_section,
+        "wellformed": wellformed_section,
         "total": {
             "indexed_seconds": round(total_indexed, 4),
             "reference_seconds": round(total_reference, 4),
@@ -509,7 +587,10 @@ def main(argv=None) -> int:
             "proof cache.  batch.cache_restart repeats that through a "
             "PersistentProofCache across two coordinator lifetimes sharing "
             "one store file: the restarted coordinator's disk_hits count how "
-            "many answers were promoted from the on-disk proof store."
+            "many answers were promoted from the on-disk proof store.  "
+            "wellformed times one well_formedness_consequences call on a "
+            "well-formed sll or dll chain; per_atom_us stays flat in the "
+            "chain length because only colliding atom pairs are visited."
         ),
     }
     if merged and all("speedup_vs_seed" in row for row in merged):

@@ -132,24 +132,13 @@ class Prover:
 
         # Without a trace the normalisation steps are only *counted*, so the
         # one-pass fast path applies; the stepwise path exists to materialise
-        # the per-step records a proof tree needs.  The well-formedness
-        # consequences are a pure function of the normalised clause and the
-        # inner loop can reproduce the same normal form — memoise them.
-        consequence_cache: dict = {}
-
+        # the per-step records a proof tree needs.
         def normalized(side: Clause, model: EqualityModel):
             if trace is None:
                 return normalize_clause_fast(side, model)
             result, steps = normalize_clause(side, model)
             self._trace_normalization(trace, steps)
             return result, len(steps)
-
-        def consequences_of(positive: Clause):
-            hit = consequence_cache.get(positive)
-            if hit is None:
-                hit = tuple(well_formedness_consequences(positive))
-                consequence_cache[positive] = hit
-            return hit
 
         for _ in range(self.config.max_iterations):
             statistics.iterations += 1
@@ -169,7 +158,7 @@ class Prover:
                     break
                 positive, step_count = normalized(embedding.positive_spatial, model)
                 statistics.normalization_steps += step_count
-                consequences = consequences_of(positive)
+                consequences = well_formedness_consequences(positive)
                 fresh = [
                     consequence
                     for consequence in consequences

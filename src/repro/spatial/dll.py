@@ -51,7 +51,11 @@ from repro.spatial.unfolding import (
     resolve_spatial,
     unclaimed_cells_mismatch,
 )
-from repro.spatial.wellformedness import WellFormednessConsequence, consequence_emitter
+from repro.spatial.wellformedness import (
+    WellFormednessConsequence,
+    colliding_pairs,
+    consequence_emitter,
+)
 
 
 def _back_map(sigma: SpatialFormula) -> Dict[Const, DllSegment]:
@@ -133,7 +137,11 @@ class DoublyLinkedTheory(SpatialTheory):
           address of every atom plus the back cell of every two-cell segment
           (W3: cell/cell, W4: cell/segment, W5: segment/segment — all on
           addresses, mirroring the singly-linked names; D4: any collision
-          involving a back anchor).
+          involving a back anchor).  Only the atom pairs that
+          :func:`~repro.spatial.wellformedness.colliding_pairs` reports are
+          visited, in ``i < j`` order; each pair's anchors are then compared
+          head-then-back on both sides, so a pair colliding at two anchors
+          emits two consequences.
         """
         sigma = clause.spatial
         assert sigma is not None
@@ -180,27 +188,27 @@ class DoublyLinkedTheory(SpatialTheory):
             return result
 
         anchor_lists = [anchors(atom) for atom in atoms]
-        for i in range(len(atoms)):
-            for j in range(i + 1, len(atoms)):
-                for loc_i, escape_i, role_i in anchor_lists[i]:
-                    for loc_j, escape_j, role_j in anchor_lists[j]:
-                        if loc_i != loc_j or loc_i.is_nil:
-                            continue
-                        if role_i == "head" and role_j == "head":
-                            if escape_i is None and escape_j is None:
-                                rule = "W3"
-                            elif escape_i is None or escape_j is None:
-                                rule = "W4"
-                            else:
-                                rule = "W5"
+        locations = [[anchor[0] for anchor in anchor_list] for anchor_list in anchor_lists]
+        for i, j in colliding_pairs(locations):
+            for loc_i, escape_i, role_i in anchor_lists[i]:
+                for loc_j, escape_j, role_j in anchor_lists[j]:
+                    if loc_i != loc_j or loc_i.is_nil:
+                        continue
+                    if role_i == "head" and role_j == "head":
+                        if escape_i is None and escape_j is None:
+                            rule = "W3"
+                        elif escape_i is None or escape_j is None:
+                            rule = "W4"
                         else:
-                            rule = "D4"
-                        extra = tuple(
-                            dict.fromkeys(
-                                escape for escape in (escape_i, escape_j) if escape is not None
-                            )
+                            rule = "W5"
+                    else:
+                        rule = "D4"
+                    extra = tuple(
+                        dict.fromkeys(
+                            escape for escape in (escape_i, escape_j) if escape is not None
                         )
-                        emit(rule, extra, (atoms[i], atoms[j]))
+                    )
+                    emit(rule, extra, (atoms[i], atoms[j]))
 
         return consequences
 

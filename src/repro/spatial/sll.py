@@ -34,7 +34,11 @@ from repro.spatial.unfolding import (
     resolve_spatial,
     unclaimed_cells_mismatch,
 )
-from repro.spatial.wellformedness import WellFormednessConsequence, consequence_emitter
+from repro.spatial.wellformedness import (
+    WellFormednessConsequence,
+    colliding_pairs,
+    consequence_emitter,
+)
 
 
 class SinglyLinkedTheory(SpatialTheory):
@@ -83,29 +87,26 @@ class SinglyLinkedTheory(SpatialTheory):
             elif isinstance(atom, ListSegment) and not atom.is_trivial:
                 emit("W2", (EqAtom(atom.target, NIL),), (atom,))
 
-        # W3 / W4 / W5: two atoms sharing the same address.
-        for i in range(len(atoms)):
-            for j in range(i + 1, len(atoms)):
-                first, second = atoms[i], atoms[j]
-                if first.address != second.address or first.address.is_nil:
-                    continue
-                first_is_next = isinstance(first, PointsTo)
-                second_is_next = isinstance(second, PointsTo)
-                if first_is_next and second_is_next:
-                    emit("W3", (), (first, second))
-                elif first_is_next and not second_is_next:
-                    emit("W4", (EqAtom(second.source, second.target),), (first, second))
-                elif not first_is_next and second_is_next:
-                    emit("W4", (EqAtom(first.source, first.target),), (second, first))
-                else:
-                    emit(
-                        "W5",
-                        (
-                            EqAtom(first.source, first.target),
-                            EqAtom(second.source, second.target),
-                        ),
-                        (first, second),
-                    )
+        # W3 / W4 / W5: two atoms sharing the same (non-nil) address.
+        for i, j in colliding_pairs([(atom.address,) for atom in atoms]):
+            first, second = atoms[i], atoms[j]
+            first_is_next = isinstance(first, PointsTo)
+            second_is_next = isinstance(second, PointsTo)
+            if first_is_next and second_is_next:
+                emit("W3", (), (first, second))
+            elif first_is_next and not second_is_next:
+                emit("W4", (EqAtom(second.source, second.target),), (first, second))
+            elif not first_is_next and second_is_next:
+                emit("W4", (EqAtom(first.source, first.target),), (second, first))
+            else:
+                emit(
+                    "W5",
+                    (
+                        EqAtom(first.source, first.target),
+                        EqAtom(second.source, second.target),
+                    ),
+                    (first, second),
+                )
 
         return consequences
 

@@ -26,17 +26,27 @@ For the builtin singly-linked theory these are the paper's rules W1–W5
 The doubly-linked rules (W1–W5 analogues plus the back-anchor rules D1–D4)
 live in :mod:`repro.spatial.dll`.
 
-Like normalisation, computing these consequences involves no search: it is a
-single pass over the (finitely many) atoms and pairs of atoms of ``Sigma``.
+Like normalisation, computing these consequences involves no search.  The
+per-atom rules (W1, W2 and their analogues) are one pass over the atoms of
+``Sigma``.  The pairwise rules only fire on atoms that allocate a common
+location, so :func:`colliding_pairs` buckets the atom indices by allocated
+location in one pass and hands the theory just the pairs that share a bucket,
+instead of every pair of atoms.  It returns them sorted, which is the order
+an all-pairs scan over ``i < j`` visits them in, so the consequences come out
+in the same order either way and the clauses reach saturation in the same
+order.  The cost is linear in the atoms plus the collisions: a formula whose
+atoms all share one address still has quadratically many consequences, but
+then the output has that size too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Dict, List, Sequence, Set, Tuple
 
 from repro.logic.atoms import SpatialAtom
 from repro.logic.clauses import Clause
+from repro.logic.terms import Const
 from repro.spatial.theory import theory_of
 
 
@@ -69,6 +79,37 @@ def consequence_emitter(clause: Clause, consequences: List[WellFormednessConsequ
         )
 
     return emit
+
+
+def colliding_pairs(anchors: Sequence[Sequence[Const]]) -> List[Tuple[int, int]]:
+    """The index pairs ``(i, j)``, ``i < j``, of atoms allocating a common location.
+
+    ``anchors[i]`` lists the locations atom ``i`` allocates; ``nil`` is
+    skipped, since the per-atom rules already handle a ``nil`` anchor.  Each
+    pair is reported once, however many locations it shares, and the pairs
+    come sorted lexicographically: the order of a nested ``i < j`` loop.
+    """
+    # ``first`` maps every location to the first atom allocating it; only a
+    # location some later atom also allocates gets a bucket of its own, so a
+    # formula without collisions costs one dictionary operation per anchor.
+    first: Dict[Const, int] = {}
+    buckets: Dict[Const, List[int]] = {}
+    for index, locations in enumerate(anchors):
+        for location in locations:
+            owner = first.setdefault(location, index)
+            if owner == index or location.is_nil:
+                continue
+            bucket = buckets.get(location)
+            if bucket is None:
+                buckets[location] = [owner, index]
+            elif bucket[-1] != index:
+                bucket.append(index)
+    pairs: Set[Tuple[int, int]] = set()
+    for bucket in buckets.values():
+        for position, earlier in enumerate(bucket):
+            for later in bucket[position + 1:]:
+                pairs.add((earlier, later))
+    return sorted(pairs)
 
 
 def well_formedness_consequences(clause: Clause) -> List[WellFormednessConsequence]:

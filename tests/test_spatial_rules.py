@@ -1,16 +1,21 @@
 """Unit tests for the spatial inference rules (normalisation, well-formedness, unfolding)."""
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from repro.logic.atoms import EqAtom, SpatialFormula
+from repro.logic.atoms import DllCell, DllSegment, EqAtom, ListSegment, PointsTo, SpatialFormula
 from repro.logic.clauses import Clause
-from repro.logic.formula import lseg, pts
+from repro.logic.formula import dcell, dlseg, lseg, pts
 from repro.logic.ordering import default_order
-from repro.logic.terms import Const, NIL, make_consts
+from repro.logic.terms import Const, NIL, make_const, make_consts
 from repro.spatial.graph import GraphConflictError, graph_edges, spatial_graph
 from repro.spatial.normalization import normalize_clause
 from repro.spatial.unfolding import unfold
-from repro.spatial.wellformedness import well_formedness_consequences
+from repro.spatial.wellformedness import (
+    colliding_pairs,
+    consequence_emitter,
+    well_formedness_consequences,
+)
 from repro.superposition.model import generate_model
 from repro.superposition.saturation import SaturationEngine
 
@@ -125,6 +130,235 @@ class TestWellFormedness:
     def test_requires_positive_spatial_clause(self):
         with pytest.raises(ValueError):
             well_formedness_consequences(Clause.pure())
+
+
+# ---------------------------------------------------------------------------
+# All-pairs oracles: the quadratic W1-W5 / D1-D4 scans that visit every pair
+# of atoms.  The theories visit only the pairs ``colliding_pairs`` reports,
+# and must emit exactly what these scans emit, in the same order.
+# ---------------------------------------------------------------------------
+
+
+def all_pairs_sll(clause):
+    consequences = []
+    emit = consequence_emitter(clause, consequences)
+    atoms = list(clause.spatial)
+    for atom in atoms:
+        if not atom.address.is_nil:
+            continue
+        if isinstance(atom, PointsTo):
+            emit("W1", (), (atom,))
+        elif isinstance(atom, ListSegment) and not atom.is_trivial:
+            emit("W2", (EqAtom(atom.target, NIL),), (atom,))
+    for i in range(len(atoms)):
+        for j in range(i + 1, len(atoms)):
+            first, second = atoms[i], atoms[j]
+            if first.address != second.address or first.address.is_nil:
+                continue
+            first_is_next = isinstance(first, PointsTo)
+            second_is_next = isinstance(second, PointsTo)
+            if first_is_next and second_is_next:
+                emit("W3", (), (first, second))
+            elif first_is_next:
+                emit("W4", (EqAtom(second.source, second.target),), (first, second))
+            elif second_is_next:
+                emit("W4", (EqAtom(first.source, first.target),), (second, first))
+            else:
+                emit(
+                    "W5",
+                    (EqAtom(first.source, first.target), EqAtom(second.source, second.target)),
+                    (first, second),
+                )
+    return consequences
+
+
+def all_pairs_dll(clause):
+    consequences = []
+    emit = consequence_emitter(clause, consequences)
+    atoms = list(clause.spatial)
+    for atom in atoms:
+        if isinstance(atom, DllCell):
+            if atom.address.is_nil:
+                emit("W1", (), (atom,))
+            continue
+        if atom.is_trivial:
+            continue
+        if atom.source == atom.target:
+            emit("D1", (EqAtom(atom.prev, atom.back),), (atom,))
+            continue
+        emptiness = EqAtom(atom.source, atom.target)
+        if atom.address.is_nil:
+            emit("W2", (emptiness,), (atom,))
+        if atom.back.is_nil:
+            emit("D2", (emptiness,), (atom,))
+        if atom.back == atom.target:
+            emit("D3", (emptiness,), (atom,))
+
+    def anchors(atom):
+        if isinstance(atom, DllCell):
+            return [(atom.source, None, "head")]
+        if atom.is_trivial or atom.source == atom.target:
+            return []
+        emptiness = EqAtom(atom.source, atom.target)
+        result = [(atom.source, emptiness, "head")]
+        if atom.back != atom.source:
+            result.append((atom.back, emptiness, "back"))
+        return result
+
+    anchor_lists = [anchors(atom) for atom in atoms]
+    for i in range(len(atoms)):
+        for j in range(i + 1, len(atoms)):
+            for loc_i, escape_i, role_i in anchor_lists[i]:
+                for loc_j, escape_j, role_j in anchor_lists[j]:
+                    if loc_i != loc_j or loc_i.is_nil:
+                        continue
+                    if role_i == "head" and role_j == "head":
+                        if escape_i is None and escape_j is None:
+                            rule = "W3"
+                        elif escape_i is None or escape_j is None:
+                            rule = "W4"
+                        else:
+                            rule = "W5"
+                    else:
+                        rule = "D4"
+                    extra = tuple(
+                        dict.fromkeys(e for e in (escape_i, escape_j) if e is not None)
+                    )
+                    emit(rule, extra, (atoms[i], atoms[j]))
+    return consequences
+
+
+# A small pool with nil makes shared addresses, nil anchors, trivial segments
+# and colliding dll back anchors common.
+POOL = st.sampled_from([NIL] + [make_const(name) for name in ("a", "b", "c", "d")])
+sll_atoms = st.builds(
+    lambda is_cell, source, target: (PointsTo if is_cell else ListSegment)(source, target),
+    st.booleans(),
+    POOL,
+    POOL,
+)
+dll_atoms = st.one_of(
+    st.builds(DllCell, POOL, POOL, POOL),
+    st.builds(DllSegment, POOL, POOL, POOL, POOL),
+)
+ORACLE = settings(max_examples=300, deadline=None)
+
+
+A, B = make_consts("a b")
+
+
+class TestCollidingPairs:
+    @ORACLE
+    @given(st.lists(st.lists(POOL, max_size=3), max_size=8))
+    # Buckets a = {0, 2, 3} and b = {1, 4}: (1, 4) sorts between them.
+    @example([[A], [B], [A], [A], [B]])
+    # One pair sharing two locations, and nil shared but never a collision.
+    @example([[A, B], [B, A], [NIL], [NIL]])
+    def test_matches_brute_force(self, anchors):
+        expected = [
+            (i, j)
+            for i in range(len(anchors))
+            for j in range(i + 1, len(anchors))
+            if {loc for loc in anchors[i] if not loc.is_nil}
+            & {loc for loc in anchors[j] if not loc.is_nil}
+        ]
+        assert colliding_pairs(anchors) == expected
+
+
+class TestWellFormednessOracle:
+    @ORACLE
+    @given(st.lists(sll_atoms, min_size=1, max_size=8))
+    def test_sll_matches_all_pairs_scan(self, atoms):
+        clause = Clause.positive_spatial(SpatialFormula(atoms))
+        assert well_formedness_consequences(clause) == all_pairs_sll(clause)
+
+    @ORACLE
+    @given(st.lists(dll_atoms, min_size=1, max_size=8))
+    def test_dll_matches_all_pairs_scan(self, atoms):
+        clause = Clause.positive_spatial(SpatialFormula(atoms))
+        assert well_formedness_consequences(clause) == all_pairs_dll(clause)
+
+    def test_three_sll_atoms_at_one_address(self):
+        sigma = SpatialFormula([pts("x", "a"), lseg("x", "b"), lseg("x", "c")])
+        consequences = well_formedness_consequences(Clause.positive_spatial(sigma))
+        assert [(c.rule, c.offending) for c in consequences] == [
+            ("W4", (pts("x", "a"), lseg("x", "b"))),
+            ("W4", (pts("x", "a"), lseg("x", "c"))),
+            ("W5", (lseg("x", "b"), lseg("x", "c"))),
+        ]
+        assert [c.conclusion.delta for c in consequences] == [
+            frozenset({EqAtom("x", "b")}),
+            frozenset({EqAtom("x", "c")}),
+            frozenset({EqAtom("x", "b"), EqAtom("x", "c")}),
+        ]
+
+    def test_dll_segment_colliding_at_head_and_back(self):
+        # The middle segment's head x is another segment's back and a cell's
+        # address; its back q is the first segment's head.
+        segment = dlseg("x", "p", "y", "q")
+        sigma = SpatialFormula([segment, dcell("x", "a", "b"), dlseg("q", "r", "z", "x")])
+        consequences = well_formedness_consequences(Clause.positive_spatial(sigma))
+        assert [(c.rule, c.offending) for c in consequences] == [
+            ("D4", (dlseg("q", "r", "z", "x"), dcell("x", "a", "b"))),
+            ("D4", (dlseg("q", "r", "z", "x"), segment)),
+            ("D4", (dlseg("q", "r", "z", "x"), segment)),
+            ("W4", (dcell("x", "a", "b"), segment)),
+        ]
+        both = frozenset({EqAtom("q", "z"), EqAtom("x", "y")})
+        assert [c.conclusion.delta for c in consequences] == [
+            frozenset({EqAtom("q", "z")}),
+            both,
+            both,
+            frozenset({EqAtom("x", "y")}),
+        ]
+
+
+class TestWellFormednessIsLinear:
+    """The scan compares constants a bounded number of times per atom.
+
+    A count of ``Const.__eq__`` calls, not a timing: the all-pairs scan made
+    about n^2 / 2 of them on these chains.
+    """
+
+    N = 1000
+
+    def count_equalities(self, monkeypatch, atoms):
+        clause = Clause.positive_spatial(SpatialFormula(atoms))
+        calls = [0]
+        original = Const.__eq__
+
+        def counting(self, other):
+            calls[0] += 1
+            return original(self, other)
+
+        monkeypatch.setattr(Const, "__eq__", counting)
+        consequences = well_formedness_consequences(clause)
+        monkeypatch.undo()
+        assert consequences == []
+        return calls[0]
+
+    def test_sll_chain(self, monkeypatch):
+        names = ["v{}".format(k) for k in range(self.N + 1)]
+        atoms = [pts(names[k], names[k + 1]) for k in range(self.N)]
+        assert self.count_equalities(monkeypatch, atoms) <= 4 * self.N
+
+    def test_dll_chain(self, monkeypatch):
+        # Alternating cells and two-cell segments: every segment has a back
+        # anchor distinct from its head.
+        names = ["v{}".format(k) for k in range(3 * self.N // 2 + 2)]
+        atoms = []
+        position = 0
+        while len(atoms) < self.N:
+            if len(atoms) % 2:
+                atoms.append(dcell(names[position], names[position + 1], names[position - 1]))
+                position += 1
+            else:
+                prev = names[position - 1] if position else NIL
+                atoms.append(
+                    dlseg(names[position], prev, names[position + 2], names[position + 1])
+                )
+                position += 2
+        assert self.count_equalities(monkeypatch, atoms) <= 8 * self.N
 
 
 class TestUnfolding:
