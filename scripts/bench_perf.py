@@ -22,7 +22,10 @@ Two engine configurations are timed on identical batches:
 A ``canonical`` section times the proof cache's canonicaliser
 (``repro.logic.canonical``) on the Table 3 workload: the suite verification
 conditions cloned k = 1, 2 and 4 times, the most symmetric inputs the cache
-has to key.
+has to key.  A ``front`` section times the coordinator's per-entailment
+front end on asymmetric inputs beside it: ``parse_entailment`` and
+``canonicalize`` in microseconds per line on printed Table 1 (n = 20) and
+Table 2 (n = 80) entailments.
 
 A ``batch`` section additionally measures the batch engine
 (``repro.core.batch``): parallel scaling of the Table 1 n=20 row across
@@ -57,6 +60,7 @@ import time
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
 
 from repro.benchgen.cloning import clone_entailment  # noqa: E402
+from repro.benchgen.random_fold import FoldParameters, random_fold_batch  # noqa: E402
 from repro.benchgen.random_unsat import UnsatParameters, random_unsat_batch  # noqa: E402
 from repro.core.atomicio import atomic_write_json  # noqa: E402
 from repro.core.batch import BatchProver  # noqa: E402
@@ -65,6 +69,8 @@ from repro.core.config import ProverConfig  # noqa: E402
 from repro.core.prover import Prover  # noqa: E402
 from repro.frontend.examples_suite import generate_suite_vcs  # noqa: E402
 from repro.logic.canonical import TooSymmetricError, canonicalize  # noqa: E402
+from repro.logic.parser import parse_entailment  # noqa: E402
+from repro.logic.printer import format_entailment  # noqa: E402
 from repro.logic.terms import make_const  # noqa: E402
 
 #: Wall-clock seconds of the *seed commit* (da8c932, pre-index engine) on the
@@ -194,6 +200,60 @@ def run_canonical_section():
         print(
             "[bench_perf] canonical k={} {:>3} VCs {:>8.3f}s  worst {:.4f}s  "
             "opted out {}".format(copies, len(vcs), total, worst, opted_out)
+        )
+    return rows
+
+
+def _per_line_us(action, items, repeats: int):
+    """``action`` over every item, ``repeats`` times: (min, median) us per item."""
+    samples = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        for item in items:
+            action(item)
+        samples.append(1e6 * (time.perf_counter() - start) / len(items))
+    samples.sort()
+    return round(samples[0], 1), round(samples[len(samples) // 2], 1)
+
+
+def run_front_section(quick: bool):
+    """Parse and canonicalise cost per line on asymmetric Table 1 and 2 inputs.
+
+    The two serial steps every entailment takes in the coordinator before a
+    cache lookup.  Lines are the printed entailments of the Table 1 (n = 20)
+    and Table 2 (n = 80) distributions.  Both are nearly asymmetric (the
+    search meets one to five leaves), so the ``canonical`` figure is mostly
+    the refinement constant factor.  Each row reports the best and the
+    median of the repeats.
+    """
+    instances = 10 if quick else 40
+    repeats = 3 if quick else 7
+    pools = (
+        ("table1", 20, random_unsat_batch(UnsatParameters.paper(20), instances, seed=1020)),
+        ("table2", 80, random_fold_batch(FoldParameters.paper(80), instances, 1080)),
+    )
+    rows = []
+    for name, variables, batch in pools:
+        lines = [format_entailment(entailment) for entailment in batch]
+        parsed = [parse_entailment(line) for line in lines]
+        parse_min, parse_median = _per_line_us(parse_entailment, lines, repeats)
+        canonical_min, canonical_median = _per_line_us(canonicalize, parsed, repeats)
+        rows.append(
+            {
+                "pool": name,
+                "variables": variables,
+                "instances": len(lines),
+                "parse_us": parse_min,
+                "parse_us_median": parse_median,
+                "canonical_us": canonical_min,
+                "canonical_us_median": canonical_median,
+            }
+        )
+        print(
+            "[bench_perf] front/{} n={:<3} parse {:>7.1f} us/line (median {:.1f})  "
+            "canonicalize {:>7.1f} us/line (median {:.1f})".format(
+                name, variables, parse_min, parse_median, canonical_min, canonical_median
+            )
         )
     return rows
 
@@ -546,6 +606,7 @@ def main(argv=None) -> int:
         merged.append(row)
 
     canonical_section = run_canonical_section()
+    front_section = run_front_section(args.quick)
     batch_section = run_batch_section(args.quick, jobs)
     theory_section = run_theory_section(args.quick)
     wellformed_section = run_wellformed_section(args.quick)
@@ -559,6 +620,7 @@ def main(argv=None) -> int:
         "quick": args.quick,
         "rows": merged,
         "canonical": canonical_section,
+        "front": front_section,
         "batch": batch_section,
         "theories": theory_section,
         "wellformed": wellformed_section,
@@ -580,6 +642,10 @@ def main(argv=None) -> int:
             "the machine that produced them.  canonical times "
             "canonicalize on the suite VCs cloned k times; opted_out counts "
             "clones too symmetric to key within the default budget.  "
+            "front times parse_entailment and canonicalize in microseconds "
+            "per line (best and median of the repeats) on printed Table 1 "
+            "n=20 and Table 2 n=80 entailments, the coordinator's serial "
+            "front end on asymmetric inputs.  "
             "batch.parallel scaling is bounded by cpu_count (a "
             "1-core host shows the IPC overhead, not a speedup); "
             "batch.cache is host-independent: it reports the throughput of "

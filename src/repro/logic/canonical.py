@@ -54,15 +54,30 @@ passes roughly quadratic in ``k`` instead of factorial (``n`` disjoint list
 segments take ``n * (n + 1)`` passes).  A refinement budget still
 bounds the worst case: inputs that exhaust it opt out of caching via
 :class:`TooSymmetricError`.
+
+Everything after parsing runs on small ints (:class:`_Graph`).  The
+occurrence table is built once per entailment: constant ``p`` is node ``p``
+(in the iteration order of :meth:`Entailment.constants`), each edge label
+becomes its rank in sorted label order, and an occurrence is the single int
+``rank * width + colour`` with ``width`` above every colour in use, which
+sorts exactly like the ``(label, colour)`` pair it stands for.  A
+refinement pass therefore sorts lists of ints instead of tuples of
+four-string labels, and a constant alone in its colour class is not
+re-signed at all: its signature leads with its own colour, which already
+orders it against every other class.  The colourings, the number of passes,
+the keys and the renamings are those of the string formulation
+(``tests/test_canonical.py`` keeps it as the oracle), so fingerprints stored
+by earlier versions stay valid under the same ``_KEY_VERSION``.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.logic.formula import Entailment
-from repro.logic.terms import Const, make_const
+from repro.logic.terms import NIL, Const, make_const
 
 __all__ = [
     "CanonicalForm",
@@ -95,59 +110,137 @@ class TooSymmetricError(RuntimeError):
 
 
 #: An edge label: (group, side, kind, role).  All four components are strings
-#: so that labels — and everything built from them — sort without mixed-type
-#: comparisons.
+#: so that labels sort without mixed-type comparisons; only their order
+#: matters, through each label's rank.
 _Label = Tuple[str, str, str, str]
 
-#: One occurrence of a constant: the edge label plus the constant at the
-#: other end of the atom (the constant itself for degenerate ``x = x`` /
-#: ``lseg(x, x)`` atoms, which refinement handles naturally).
-_Occurrence = Tuple[_Label, Const]
 
+class _Graph:
+    """An entailment as an integer-coded, edge-labelled multigraph.
 
-def _occurrence_table(entailment: Entailment) -> Dict[Const, List[_Occurrence]]:
-    """Every constant's atom occurrences, as labelled edges to its neighbours."""
-    table: Dict[Const, List[_Occurrence]] = {c: [] for c in entailment.constants()}
-    for side, literals in (("lhs", entailment.lhs_pure), ("rhs", entailment.rhs_pure)):
-        for literal in literals:
-            kind = "eq" if literal.positive else "neq"
-            left, right = literal.atom.left, literal.atom.right
-            table[left].append((("pure", side, kind, "end"), right))
-            table[right].append((("pure", side, kind, "end"), left))
-    for side, sigma in (("lhs", entailment.lhs_spatial), ("rhs", entailment.rhs_spatial)):
-        for atom in sigma:
-            roles = atom.argument_roles()
-            if len(roles) == 2:
-                # Binary atoms keep the original single-neighbour labels so
-                # that singly-linked fingerprints are unchanged.
-                (role_a, const_a), (role_b, const_b) = roles
-                table[const_a].append((("spatial", side, atom.kind, role_a), const_b))
-                table[const_b].append((("spatial", side, atom.kind, role_b), const_a))
-                continue
-            # Wider atoms: connect every argument to every other argument,
-            # labelling the edge with the ordered role pair so refinement sees
-            # the full incidence structure of the atom.
-            for i, (role_i, const_i) in enumerate(roles):
-                for j, (role_j, const_j) in enumerate(roles):
-                    if i != j:
-                        table[const_i].append(
-                            (
-                                ("spatial", side, atom.kind, "{}>{}".format(role_i, role_j)),
-                                const_j,
-                            )
-                        )
-    return table
+    Built once per entailment; every later step works on small ints.
+
+    ``constants`` fixes the node numbering: constant ``constants[p]`` is
+    node ``p``, in the iteration order of :meth:`Entailment.constants`.
+    ``occurrences[p]`` lists node ``p``'s atom occurrences as
+    ``(base, other)`` pairs whose value under a colouring is the single int
+    ``base + colour[other]``.  An edge with label rank ``r`` (the label's
+    position in sorted label order) has ``base = r * width``, where
+    ``width = n + 1`` exceeds every colour a colouring of ``n`` nodes uses
+    (``0..n``), so these values sort exactly like ``(label, colour)`` pairs.
+    Each list also holds the pair ``(-width, p)`` for the node's own colour,
+    whose value is negative and so sorts first: a node's sorted values are
+    then its whole refinement signature, its own colour followed by the
+    multiset of (label, neighbour colour) pairs.
+
+    The remaining fields are the atoms over node numbers, for the leaf
+    encoding: pure literals as ``(polarity, left, right)``, spatial atoms as
+    ``(kind, arguments)``.
+    """
+
+    __slots__ = (
+        "constants",
+        "nil",
+        "occurrences",
+        "lhs_pure",
+        "lhs_spatial",
+        "rhs_pure",
+        "rhs_spatial",
+    )
+
+    def __init__(self, entailment: Entailment):
+        constants: List[Const] = list(entailment.constants())
+        # Keyed by name (constants compare by name): str hashes are cached.
+        node = {constant.name: p for p, constant in enumerate(constants)}
+        # label -> flat (at, other, at, other, ...) node pairs.
+        edges: Dict[_Label, List[int]] = {}
+
+        def pure(side: str, literals) -> List[Tuple[int, int, int]]:
+            atoms = []
+            for literal in literals:
+                positive = literal.positive
+                label = ("pure", side, "eq" if positive else "neq", "end")
+                left, right = node[literal.atom.left.name], node[literal.atom.right.name]
+                pairs = edges.get(label)
+                if pairs is None:
+                    pairs = edges[label] = []
+                pairs += (left, right, right, left)
+                atoms.append((int(positive), left, right))
+            return atoms
+
+        def spatial(side: str, sigma) -> List[Tuple[str, Tuple[int, ...]]]:
+            atoms = []
+            for atom in sigma:
+                kind = atom.kind
+                roles = atom.argument_roles()
+                arguments = tuple([node[constant.name] for _, constant in roles])
+                if len(roles) == 2:
+                    # Binary atoms keep the original single-neighbour labels
+                    # so that singly-linked fingerprints are unchanged.
+                    a, b = arguments
+                    labelled = [
+                        (("spatial", side, kind, roles[0][0]), a, b),
+                        (("spatial", side, kind, roles[1][0]), b, a),
+                    ]
+                else:
+                    # Wider atoms: connect every argument to every other one,
+                    # labelling the edge with the ordered role pair so that
+                    # refinement sees the full incidence structure.
+                    labelled = [
+                        (("spatial", side, kind, "{}>{}".format(roles[i][0], roles[j][0])), a, b)
+                        for i, a in enumerate(arguments)
+                        for j, b in enumerate(arguments)
+                        if i != j
+                    ]
+                for label, a, b in labelled:
+                    pairs = edges.get(label)
+                    if pairs is None:
+                        pairs = edges[label] = []
+                    pairs += (a, b)
+                atoms.append((kind, arguments))
+            return atoms
+
+        self.constants = constants
+        self.nil: Optional[int] = node.get(NIL.name)
+        self.lhs_pure = pure("lhs", entailment.lhs_pure)
+        self.rhs_pure = pure("rhs", entailment.rhs_pure)
+        self.lhs_spatial = spatial("lhs", entailment.lhs_spatial)
+        self.rhs_spatial = spatial("rhs", entailment.rhs_spatial)
+        width = len(constants) + 1
+        self.occurrences: List[List[Tuple[int, int]]] = [
+            [(-width, p)] for p in range(len(constants))
+        ]
+        for rank, label in enumerate(sorted(edges)):
+            base = rank * width
+            pairs = edges[label]
+            for i in range(0, len(pairs), 2):
+                self.occurrences[pairs[i]].append((base, pairs[i + 1]))
+
+    def initial_colours(self) -> List[int]:
+        """nil is pinned (it can never be renamed), so it starts alone in class 0."""
+        colours = [1] * len(self.constants)
+        if self.nil is not None:
+            colours[self.nil] = 0
+        return colours
 
 
 class _Refiner:
     """Colour refinement with a shared pass budget across the whole search."""
 
-    def __init__(self, occurrences: Dict[Const, List[_Occurrence]], budget: int):
-        self.occurrences = occurrences
+    def __init__(self, graph: _Graph, budget: int):
+        self.occurrences = graph.occurrences
+        self.width = len(graph.constants) + 1
         self.budget = budget
 
-    def refine(self, colours: Dict[Const, int]) -> Dict[Const, int]:
-        """Refine ``colours`` to a fixpoint, renumbering classes canonically."""
+    def refine(self, colours: List[int]) -> List[int]:
+        """Refine ``colours`` (node -> class in ``0..n``) to a fixpoint.
+
+        Classes are renumbered canonically to ``0..k-1`` by sorted
+        signature: the ids depend only on structure, so isomorphic inputs
+        are renumbered identically.
+        """
+        occurrences = self.occurrences
+        width = self.width
         while True:
             if self.budget <= 0:
                 raise TooSymmetricError(
@@ -155,100 +248,86 @@ class _Refiner:
                     "the entailment is too symmetric to fingerprint cheaply"
                 )
             self.budget -= 1
-            signatures = {
-                constant: (
-                    colour,
-                    tuple(
-                        sorted(
-                            (label, colours[other])
-                            for label, other in self.occurrences[constant]
-                        )
-                    ),
-                )
-                for constant, colour in colours.items()
-            }
-            # Renumber by sorted signature: the ids depend only on structure,
-            # so isomorphic inputs are renumbered identically.
-            numbering = {
-                signature: index
-                for index, signature in enumerate(sorted(set(signatures.values())))
-            }
-            refined = {c: numbering[signatures[c]] for c in colours}
-            if len(numbering) == len(set(colours.values())):
+            sizes = Counter(colours)
+            # Every signature leads with the node's own colour, so a node
+            # alone in its class sorts by that colour alone: its neighbours
+            # can only matter against a node of the same colour.
+            signatures = [
+                tuple(sorted([base + colours[other] for base, other in occurrence]))
+                if sizes[colour] > 1
+                else (colour - width,)
+                for occurrence, colour in zip(occurrences, colours)
+            ]
+            ordered = sorted(set(signatures))
+            numbering = dict(zip(ordered, range(len(ordered))))
+            refined = list(map(numbering.__getitem__, signatures))
+            if len(ordered) == len(sizes):
                 return refined
             colours = refined
-
-
-def _cells(colours: Dict[Const, int]) -> List[List[Const]]:
-    """The colour classes, ordered by colour id (members in arbitrary order)."""
-    grouped: Dict[int, List[Const]] = {}
-    for constant, colour in colours.items():
-        grouped.setdefault(colour, []).append(constant)
-    return [grouped[colour] for colour in sorted(grouped)]
 
 
 _Key = Tuple
 
 
-def _encode(entailment: Entailment, index: Mapping[Const, int]) -> _Key:
-    """The entailment re-expressed through constant positions, conjuncts sorted.
+def _encode(graph: _Graph, index: List[int]) -> _Key:
+    """The entailment re-expressed through node positions, conjuncts sorted.
 
     This *is* the fingerprint: equal encodings mean the two entailments
-    become literally identical once their constants are numbered by ``index``.
+    become literally identical once their constants are numbered by ``index``
+    (node -> position).
     """
 
     def pure(literals) -> Tuple:
         encoded = []
-        for literal in literals:
-            i, j = index[literal.atom.left], index[literal.atom.right]
-            encoded.append((int(literal.positive), min(i, j), max(i, j)))
-        return tuple(sorted(encoded))
+        for polarity, left, right in literals:
+            i, j = index[left], index[right]
+            encoded.append((polarity, i, j) if i <= j else (polarity, j, i))
+        encoded.sort()
+        return tuple(encoded)
 
-    def spatial(sigma) -> Tuple:
-        return tuple(
-            sorted(
-                (atom.kind,) + tuple(index[constant] for _, constant in atom.argument_roles())
-                for atom in sigma
-            )
-        )
+    def spatial(atoms) -> Tuple:
+        encoded = [(kind, *[index[p] for p in arguments]) for kind, arguments in atoms]
+        encoded.sort()
+        return tuple(encoded)
 
     return (
         _KEY_VERSION,
         len(index),
-        pure(entailment.lhs_pure),
-        spatial(entailment.lhs_spatial),
-        pure(entailment.rhs_pure),
-        spatial(entailment.rhs_spatial),
+        pure(graph.lhs_pure),
+        spatial(graph.lhs_spatial),
+        pure(graph.rhs_pure),
+        spatial(graph.rhs_spatial),
     )
 
 
-#: A path through the search tree: the constants individualised so far.
-_Path = Tuple[Const, ...]
+#: A path through the search tree: the nodes individualised so far.
+_Path = Tuple[int, ...]
 
 
-def _find(parent: Dict[Const, Const], constant: Const) -> Const:
-    """Union-find root of ``constant`` (absent constants are their own root)."""
-    while constant in parent:
-        constant = parent[constant]
-    return constant
+def _find(parent: Dict[int, int], node: int) -> int:
+    """Union-find root of ``node`` (absent nodes are their own root)."""
+    while node in parent:
+        node = parent[node]
+    return node
 
 
 class _PrunedSearch:
     """Individualisation-refinement pruned by the automorphisms it discovers.
 
     ``automorphisms`` holds every non-trivial automorphism found so far, each
-    stored sparsely as its moved points.  ``leaves`` remembers, per distinct
-    leaf key, the first leaf that produced it.
+    stored sparsely as its moved nodes.  ``leaves`` remembers, per distinct
+    leaf key, the first leaf that produced it: its path and its inverse
+    index (position -> node).
     """
 
-    def __init__(self, entailment: Entailment, refiner: _Refiner):
-        self.entailment = entailment
+    def __init__(self, graph: _Graph, refiner: _Refiner):
+        self.graph = graph
         self.refiner = refiner
-        self.best: Optional[Tuple[_Key, Dict[Const, int]]] = None
-        self.leaves: Dict[_Key, Tuple[_Path, Dict[int, Const]]] = {}
-        self.automorphisms: List[Dict[Const, Const]] = []
+        self.best: Optional[Tuple[_Key, List[int]]] = None
+        self.leaves: Dict[_Key, Tuple[_Path, Dict[int, int]]] = {}
+        self.automorphisms: List[Dict[int, int]] = []
 
-    def visit(self, colours: Dict[Const, int], path: _Path) -> Optional[int]:
+    def visit(self, colours: List[int], path: _Path) -> Optional[int]:
         """Explore the subtree below ``path``.
 
         Returns ``None`` when the subtree is done, or the depth of the
@@ -256,18 +335,24 @@ class _PrunedSearch:
         abandoned because an automorphism maps it onto explored ground.
         """
         colours = self.refiner.refine(colours)
-        tied = next((cell for cell in _cells(colours) if len(cell) > 1), None)
-        if tied is None:
-            return self._leaf(colours, path)
         fresh = len(colours)  # strictly above every existing colour id
-        parent: Dict[Const, Const] = {}
+        sizes = [0] * fresh
+        for colour in colours:
+            sizes[colour] += 1
+        tied_colour = next((c for c, size in enumerate(sizes) if size > 1), None)
+        if tied_colour is None:
+            return self._leaf(colours, path)
+        # The first tied cell, members in node order.
+        tied = [p for p, colour in enumerate(colours) if colour == tied_colour]
+        parent: Dict[int, int] = {}
         absorbed = 0
-        explored: List[Const] = []
+        explored: List[int] = []
         for candidate in tied:
             # Union the orbits of every automorphism found since the last
-            # candidate that fixes this node's path pointwise.
+            # candidate that fixes this node's path pointwise (automorphisms
+            # are stored as their moved nodes).
             for gamma in self.automorphisms[absorbed:]:
-                if all(gamma.get(p, p) == p for p in path):
+                if gamma.keys().isdisjoint(path):
                     for moved, image in gamma.items():
                         root_a, root_b = _find(parent, moved), _find(parent, image)
                         if root_a != root_b:
@@ -277,53 +362,45 @@ class _PrunedSearch:
             if any(_find(parent, sibling) == root for sibling in explored):
                 continue
             explored.append(candidate)
-            branched = dict(colours)
+            branched = list(colours)
             branched[candidate] = fresh
             resume = self.visit(branched, path + (candidate,))
             if resume is not None and resume < len(path):
                 return resume
         return None
 
-    def _leaf(self, colours: Dict[Const, int], path: _Path) -> Optional[int]:
-        # Discrete colouring: the colours induce a total order.  nil is pinned
-        # to position 0 — it can never be renamed, so the key must record
-        # which node it is — and the variables take 1..n in colour order.
-        ordered = sorted(colours, key=lambda c: (0 if c.is_nil else 1, colours[c]))
-        index = {constant: position for position, constant in enumerate(ordered)}
-        if not any(c.is_nil for c in colours):
-            # No nil anywhere: shift positions up so 0 still unambiguously
-            # means "nil" across the whole key space.
-            index = {constant: position + 1 for constant, position in index.items()}
-        key = _encode(self.entailment, index)
+    def _leaf(self, colours: List[int], path: _Path) -> Optional[int]:
+        # Discrete colouring: the colours 0..n-1 are a total order.  nil
+        # keeps colour 0 throughout (it starts alone in the smallest class
+        # and every signature leads with the old colour), so with nil present
+        # a node's colour is its position: nil is pinned to 0 — it can never
+        # be renamed, so the key must record which node it is — and the
+        # variables take 1..n-1 in colour order.  Without nil, positions
+        # shift up by one so that 0 still unambiguously means "nil" across
+        # the whole key space.
+        index = colours if self.graph.nil is not None else [c + 1 for c in colours]
+        key = _encode(self.graph, index)
         earlier = self.leaves.get(key)
         if earlier is None:
-            self.leaves[key] = (path, {position: c for c, position in index.items()})
+            self.leaves[key] = (path, {position: p for p, position in enumerate(index)})
             if self.best is None or key < self.best[0]:
                 self.best = (key, index)
             return None
-        # Equal keys: mapping each constant to the one at the same position
-        # in the earlier leaf is an automorphism, and it maps this leaf's path
+        # Equal keys: mapping each node to the one at the same position in
+        # the earlier leaf is an automorphism, and it maps this leaf's path
         # onto the earlier one's.  So it fixes their common prefix and maps
         # the child we are in onto an explored sibling: the rest of that
         # child's subtree repeats keys already seen.
         earlier_path, earlier_at = earlier
-        gamma = {c: earlier_at[position] for c, position in index.items()}
-        self.automorphisms.append({c: image for c, image in gamma.items() if c != image})
+        moved: Dict[int, int] = {}
+        for p, position in enumerate(index):
+            image = earlier_at[position]
+            if image != p:
+                moved[p] = image
+        self.automorphisms.append(moved)
         return next(
             depth for depth, (a, b) in enumerate(zip(path, earlier_path)) if a != b
         )
-
-
-def _search(
-    entailment: Entailment,
-    refiner: _Refiner,
-    colours: Dict[Const, int],
-) -> Tuple[_Key, Dict[Const, int]]:
-    """Individualisation-refinement: the minimal encoding over all leaves."""
-    search = _PrunedSearch(entailment, refiner)
-    search.visit(colours, ())
-    assert search.best is not None
-    return search.best
 
 
 @dataclass(frozen=True)
@@ -357,21 +434,22 @@ def canonicalize(entailment: Entailment, budget: int = _DEFAULT_BUDGET) -> Canon
     Raises :class:`TooSymmetricError` for pathologically symmetric inputs
     (callers should treat those as uncacheable).
     """
-    occurrences = _occurrence_table(entailment)
-    # nil is pinned: it can never be renamed, so it starts in its own class.
-    colours = {c: (0 if c.is_nil else 1) for c in occurrences}
-    if not colours:
-        return CanonicalForm(key=_encode(entailment, {}), renaming={}, inverse={})
-    refiner = _Refiner(occurrences, budget)
-    key, index = _search(entailment, refiner, colours)
+    graph = _Graph(entailment)
+    if not graph.constants:
+        return CanonicalForm(key=_encode(graph, []), renaming={}, inverse={})
+    search = _PrunedSearch(graph, _Refiner(graph, budget))
+    search.visit(graph.initial_colours(), ())
+    assert search.best is not None
+    key, index = search.best
     # Positions -> canonical names.  nil keeps its name; the remaining
     # constants are numbered c1..cn by their canonical position.
     ordered = sorted(
-        (c for c in index if not c.is_nil), key=lambda constant: index[constant]
+        (p for p in range(len(index)) if p != graph.nil), key=index.__getitem__
     )
     renaming: Dict[Const, Const] = {}
     inverse: Dict[Const, Const] = {}
-    for position, constant in enumerate(ordered, start=1):
+    for position, p in enumerate(ordered, start=1):
+        constant = graph.constants[p]
         canonical = make_const("{}{}".format(_CANONICAL_PREFIX, position))
         renaming[constant] = canonical
         inverse[canonical] = constant

@@ -40,11 +40,11 @@ Examples::
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple
 
-from repro.logic.atoms import SpatialAtom, SpatialFormula
-from repro.logic.formula import Entailment, PureLiteral, eq, neq, pts
+from repro.logic.atoms import EqAtom, PointsTo, SpatialAtom, SpatialFormula
+from repro.logic.formula import Entailment, PureLiteral
+from repro.logic.terms import Const, make_const
 
 
 class ParseError(ValueError):
@@ -79,28 +79,23 @@ class ParseError(ValueError):
         super().__init__(message)
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str
-    text: str
-    position: int  # flat character offset; line/column are derived lazily
+#: One token per match: leading whitespace is skipped, then punctuation
+#: (longest spelling first where one spelling prefixes another), an
+#: identifier, or — the trailing catch-all — any other single character,
+#: which the tokenizer reports as unexpected.
+_TOKEN_RE = re.compile(
+    r"\s*("
+    r"\|->|\|-|==>|/\\|&&|&|\*|!=|<>|==|=|\(|\)|,"
+    r"|[A-Za-z_][A-Za-z0-9_']*"
+    r"|\S)"
+)
 
-
-_TOKEN_SPEC = [
-    ("POINTS", r"\|->"),
-    ("TURNSTILE", r"\|-|==>"),
-    ("AND", r"/\\|&&|&"),
-    ("STAR", r"\*"),
-    ("NEQ", r"!=|<>"),
-    ("EQ", r"==|="),
-    ("LPAREN", r"\("),
-    ("RPAREN", r"\)"),
-    ("COMMA", r","),
-    ("IDENT", r"[A-Za-z_][A-Za-z0-9_']*"),
-    ("WS", r"\s+"),
-]
-
-_TOKEN_RE = re.compile("|".join("(?P<{}>{})".format(name, pattern) for name, pattern in _TOKEN_SPEC))
+_TURNSTILES = frozenset(("|-", "==>"))
+_SEPARATORS = frozenset(("/\\", "&&", "&", "*"))
+_EQUALS = frozenset(("=", "=="))
+_NOT_EQUALS = frozenset(("!=", "<>"))
+_PUNCTUATION = _TURNSTILES | _SEPARATORS | _EQUALS | _NOT_EQUALS | {"|->", "(", ")", ","}
+_IDENT_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
 
 #: Extra spellings accepted for registered predicate names.
 _PREDICATE_ALIASES = {"ls": "lseg", "dll": "dlseg"}
@@ -113,194 +108,198 @@ def _line_and_column(text: str, position: int) -> Tuple[int, int]:
     return line, position - start + 1
 
 
-def _tokenize(text: str) -> List[_Token]:
-    tokens: List[_Token] = []
-    position = 0
-    while position < len(text):
-        match = _TOKEN_RE.match(text, position)
-        if match is None:
-            line, column = _line_and_column(text, position)
-            raise ParseError(
-                "unexpected character {!r}".format(text[position]),
-                line=line,
-                column=column,
-                token=text[position],
-            )
-        kind = match.lastgroup or ""
-        if kind != "WS":
-            tokens.append(_Token(kind, match.group(), position))
-        position = match.end()
-    return tokens
+def _token_position(text: str, index: int) -> int:
+    """Character offset of token ``index`` (``len(text)`` past the last one).
+
+    Tokens are bare strings; their offsets are only needed to report an
+    error, so they are recovered by rescanning rather than kept.
+    """
+    for count, match in enumerate(_TOKEN_RE.finditer(text)):
+        if count == index:
+            return match.start(1)
+    return len(text)
 
 
-def _predicate_constructors() -> Dict[str, Tuple[int, Callable[..., SpatialAtom], str]]:
-    """Surface predicate name -> (arity, constructor, theory), from the registry."""
-    from repro.spatial.theory import predicate_table
-
-    table: Dict[str, Tuple[int, Callable[..., SpatialAtom], str]] = {}
-    for name, (theory, signature) in predicate_table().items():
-        table[name] = (signature.arity, signature.constructor, theory.name)
-    for alias, name in _PREDICATE_ALIASES.items():
-        if name in table:
-            table[alias] = table[name]
-    return table
+def _tokenize(text: str) -> List[Optional[str]]:
+    """The token texts of ``text``, followed by a ``None`` end marker."""
+    found: List[str] = _TOKEN_RE.findall(text)
+    # Only the catch-all yields a token that is neither punctuation nor an
+    # identifier: a single unexpected character.
+    unexpected = [
+        token for token in set(found).difference(_PUNCTUATION) if token[0] not in _IDENT_START
+    ]
+    if unexpected:
+        index = min(found.index(token) for token in unexpected)
+        line, column = _line_and_column(text, _token_position(text, index))
+        raise ParseError(
+            "unexpected character {!r}".format(found[index]),
+            line=line,
+            column=column,
+            token=found[index],
+        )
+    return found + [None]
 
 
 class _Parser:
-    """A tiny recursive-descent parser over the token stream."""
+    """A tiny recursive-descent parser over the token texts."""
 
-    def __init__(self, tokens: List[_Token], text: str):
-        self._tokens = tokens
+    def __init__(self, text: str):
         self._text = text
+        self._tokens = _tokenize(text)
         self._index = 0
-        self._predicates = _predicate_constructors()
+        # Imported here: loading the registry loads the spatial package, which
+        # imports this one.
+        from repro.spatial.theory import predicate_table
+
+        self._predicates = predicate_table()
+        # Constants of this input by spelling, so that each name is coerced
+        # once per parse.
+        self._constants: Dict[Optional[str], Const] = {}
         # The theory of the first spatial atom seen; later atoms must match
         # (mixed-theory formulas have no heap model and would otherwise only
         # blow up deep inside the prover, without a source location).
         self._theory: Optional[str] = None
 
-    def _check_theory(self, theory: str, token: _Token) -> None:
+    def _check_theory(self, theory: str, index: int) -> None:
         if self._theory is None:
             self._theory = theory
         elif self._theory != theory:
             raise self._error(
                 "predicate {!r} belongs to the {!r} theory but the entailment "
                 "already uses {!r} atoms; spatial theories cannot be mixed".format(
-                    token.text, theory, self._theory
+                    self._tokens[index], theory, self._theory
                 ),
-                token,
+                index,
             )
 
-    # -- error helpers -------------------------------------------------------
-    def _error(self, reason: str, token: Optional[_Token]) -> ParseError:
+    def _error(self, reason: str, index: int) -> ParseError:
+        """A located error at token ``index`` (the end marker: end of input)."""
+        token = self._tokens[index]
         if token is None:
             line, column = _line_and_column(self._text, len(self._text))
             return ParseError(reason + " at end of input", line=line, column=column)
-        line, column = _line_and_column(self._text, token.position)
-        return ParseError(reason, line=line, column=column, token=token.text)
+        line, column = _line_and_column(self._text, _token_position(self._text, index))
+        return ParseError(reason, line=line, column=column, token=token)
 
-    # -- token helpers -------------------------------------------------------
-    def _peek(self) -> Optional[_Token]:
-        if self._index < len(self._tokens):
-            return self._tokens[self._index]
-        return None
-
-    def _advance(self) -> _Token:
-        token = self._peek()
-        if token is None:
-            raise self._error("unexpected end of input", None)
-        self._index += 1
-        return token
-
-    def _expect(self, kind: str, what: str) -> _Token:
-        token = self._peek()
-        if token is None:
-            raise self._error("expected {}".format(what), None)
-        if token.kind != kind:
-            raise self._error(
-                "expected {} but found {!r}".format(what, token.text), token
-            )
-        self._index += 1
-        return token
-
-    def _match(self, kind: str) -> bool:
-        token = self._peek()
-        if token is not None and token.kind == kind:
-            self._index += 1
-            return True
-        return False
+    def _constant(self, index: int) -> Const:
+        """The constant spelled by token ``index``, which must be an identifier."""
+        name = self._tokens[index]
+        constant = self._constants.get(name)
+        if constant is None:
+            # Not seen yet in this input: punctuation and the end marker
+            # never are, so they are only checked for here.
+            if name is None:
+                raise self._error("expected an identifier", index)
+            if name in _PUNCTUATION:
+                raise self._error("expected an identifier but found {!r}".format(name), index)
+            constant = self._constants[name] = make_const(name)
+        return constant
 
     # -- grammar -------------------------------------------------------------
     def parse_entailment(self) -> Entailment:
         lhs = self.parse_side()
-        self._expect("TURNSTILE", "'|-'")
+        token = self._tokens[self._index]
+        if token is None:
+            raise self._error("expected '|-'", self._index)
+        if token not in _TURNSTILES:
+            raise self._error("expected '|-' but found {!r}".format(token), self._index)
+        self._index += 1
         rhs = self.parse_side()
-        token = self._peek()
+        token = self._tokens[self._index]
         if token is not None:
-            raise self._error("unexpected trailing input {!r}".format(token.text), token)
-        if isinstance(rhs, str):  # the "false" right-hand side
-            if isinstance(lhs, str):
-                raise ParseError("'false' can only appear as the whole right-hand side")
-            return Entailment.with_false_rhs(lhs)
-        if isinstance(lhs, str):
+            raise self._error("unexpected trailing input {!r}".format(token), self._index)
+        if lhs is None:
             raise ParseError("'false' can only appear as the whole right-hand side")
-        return Entailment.build(lhs=lhs, rhs=rhs)
+        if rhs is None:
+            return Entailment.with_false_rhs(lhs[0] + lhs[1])
+        return Entailment(
+            tuple(lhs[0]), SpatialFormula(lhs[1]), tuple(rhs[0]), SpatialFormula(rhs[1])
+        )
 
-    def parse_side(self) -> Union[str, List[Union[PureLiteral, SpatialAtom]]]:
-        token = self._peek()
-        if token is not None and token.kind == "IDENT" and token.text == "false":
-            self._advance()
-            return "false"
-        conjuncts: List[Union[PureLiteral, SpatialAtom]] = []
-        while True:
-            conjunct = self.parse_conjunct()
-            if conjunct is not None:
-                conjuncts.append(conjunct)
-            token = self._peek()
-            if token is not None and token.kind in ("AND", "STAR"):
-                self._advance()
-                continue
-            break
-        return conjuncts
-
-    def parse_conjunct(self) -> Optional[Union[PureLiteral, SpatialAtom]]:
-        token = self._advance()
-        if token.kind != "IDENT":
-            raise self._error(
-                "expected an atom but found {!r}".format(token.text), token
-            )
-        word = token.text
-
-        if word in ("true", "emp"):
+    def parse_side(self) -> Optional[Tuple[List[PureLiteral], List[SpatialAtom]]]:
+        """One side as its pure and spatial conjuncts, or ``None`` for ``false``."""
+        tokens = self._tokens
+        if tokens[self._index] == "false":
+            self._index += 1
             return None
+        pure: List[PureLiteral] = []
+        spatial: List[SpatialAtom] = []
+        while True:
+            self.parse_conjunct(pure, spatial)
+            if tokens[self._index] in _SEPARATORS:
+                self._index += 1
+                continue
+            return pure, spatial
 
-        if word in self._predicates:
-            next_token = self._peek()
-            if next_token is not None and next_token.kind == "LPAREN":
-                arity, constructor, theory = self._predicates[word]
-                self._check_theory(theory, token)
-                self._advance()
-                arguments = [self._expect("IDENT", "an identifier").text]
-                while self._match("COMMA"):
-                    arguments.append(self._expect("IDENT", "an identifier").text)
-                closing = self._peek()
-                if len(arguments) != arity:
-                    raise self._error(
-                        "{} takes {} arguments but got {}".format(word, arity, len(arguments)),
-                        closing if closing is not None else next_token,
-                    )
-                self._expect("RPAREN", "')'")
-                return constructor(*arguments)
-            # fall through: a predicate name used as a plain identifier
+    def parse_conjunct(self, pure: List[PureLiteral], spatial: List[SpatialAtom]) -> None:
+        """Parse one conjunct, appending it to ``pure`` or ``spatial``."""
+        tokens = self._tokens
+        index = self._index
+        word = tokens[index]
+        if word is None:
+            raise self._error("unexpected end of input", index)
+        if word in _PUNCTUATION:
+            raise self._error("expected an atom but found {!r}".format(word), index)
+        follower = tokens[index + 1]
 
-        follower = self._peek()
+        if word == "true" or word == "emp":
+            self._index = index + 1
+            return
+
+        predicate = None
+        if follower == "(":
+            predicate = self._predicates.get(_PREDICATE_ALIASES.get(word, word))
+        if predicate is not None:
+            theory, signature = predicate
+            self._check_theory(theory.name, index)
+            arguments = [self._constant(index + 2)]
+            index += 3
+            while tokens[index] == ",":
+                arguments.append(self._constant(index + 1))
+                index += 2
+            if len(arguments) != signature.arity:
+                raise self._error(
+                    "{} takes {} arguments but got {}".format(
+                        word, signature.arity, len(arguments)
+                    ),
+                    # At the token after the arguments, or at '(' when the
+                    # input ends there.
+                    index if tokens[index] is not None else self._index + 1,
+                )
+            closing = tokens[index]
+            if closing is None:
+                raise self._error("expected ')'", index)
+            if closing != ")":
+                raise self._error("expected ')' but found {!r}".format(closing), index)
+            self._index = index + 1
+            spatial.append(signature.constructor(*arguments))
+            return
+        # Otherwise a predicate name is a plain identifier.
+
         if follower is None:
-            raise self._error("dangling identifier {!r}".format(word), None)
-        if follower.kind == "EQ":
-            self._advance()
-            other = self._expect("IDENT", "an identifier").text
-            return eq(word, other)
-        if follower.kind == "NEQ":
-            self._advance()
-            other = self._expect("IDENT", "an identifier").text
-            return neq(word, other)
-        if follower.kind == "POINTS":
-            self._check_theory("sll", token)  # x |-> y abbreviates next(x, y)
-            self._advance()
-            other = self._expect("IDENT", "an identifier").text
-            return pts(word, other)
+            raise self._error("dangling identifier {!r}".format(word), index + 1)
+        if follower in _EQUALS or follower in _NOT_EQUALS:
+            other = self._constant(index + 2)
+            self._index = index + 3
+            pure.append(
+                PureLiteral(EqAtom(self._constant(index), other), positive=follower in _EQUALS)
+            )
+            return
+        if follower == "|->":
+            self._check_theory("sll", index)  # x |-> y abbreviates next(x, y)
+            other = self._constant(index + 2)
+            self._index = index + 3
+            spatial.append(PointsTo(self._constant(index), other))
+            return
         raise self._error(
-            "expected '=', '!=' or '|->' after {!r} but found {!r}".format(
-                word, follower.text
-            ),
-            follower,
+            "expected '=', '!=' or '|->' after {!r} but found {!r}".format(word, follower),
+            index + 1,
         )
 
 
 def parse_entailment(text: str) -> Entailment:
     """Parse an entailment from its textual form."""
-    parser = _Parser(_tokenize(text), text)
-    return parser.parse_entailment()
+    return _Parser(text).parse_entailment()
 
 
 def parse_spatial_formula(text: str) -> SpatialFormula:
@@ -309,18 +308,17 @@ def parse_spatial_formula(text: str) -> SpatialFormula:
     Pure conjuncts are not allowed here; use :func:`parse_entailment` for full
     entailments.
     """
-    parser = _Parser(_tokenize(text), text)
+    parser = _Parser(text)
     side = parser.parse_side()
-    token = parser._peek()  # noqa: SLF001 - module-internal access
+    index = parser._index  # noqa: SLF001 - module-internal access
+    token = parser._tokens[index]  # noqa: SLF001
     if token is not None:
         raise parser._error(  # noqa: SLF001
-            "unexpected trailing input {!r}".format(token.text), token
+            "unexpected trailing input {!r}".format(token), index
         )
-    if isinstance(side, str):  # the "false" keyword
+    if side is None:  # the "false" keyword
         raise ParseError("'false' is not a spatial formula")
-    atoms = []
-    for conjunct in side:
-        if isinstance(conjunct, PureLiteral):
-            raise ParseError("pure literal {} not allowed in a spatial formula".format(conjunct))
-        atoms.append(conjunct)
-    return SpatialFormula(atoms)
+    pure, spatial = side
+    if pure:
+        raise ParseError("pure literal {} not allowed in a spatial formula".format(pure[0]))
+    return SpatialFormula(spatial)

@@ -36,7 +36,8 @@ new predicate family.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Tuple
+from types import MappingProxyType
+from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.logic.atoms import SpatialAtom, SpatialFormula
 from repro.logic.terms import Const
@@ -212,6 +213,10 @@ class SpatialTheory:
 _REGISTRY: Dict[str, SpatialTheory] = {}
 _BUILTINS_LOADED = False
 
+#: :func:`predicate_table`'s answer, built on first use after every
+#: :func:`register_theory`.
+_PREDICATE_TABLE: Optional[Mapping[str, Tuple[SpatialTheory, PredicateSignature]]] = None
+
 #: The theory assumed for purely-pure / ``emp`` inputs, which are meaningful
 #: in every theory.  The builtin singly-linked fragment keeps the seed
 #: behaviour byte-identical.
@@ -220,9 +225,11 @@ DEFAULT_THEORY = "sll"
 
 def register_theory(theory: SpatialTheory) -> SpatialTheory:
     """Add a theory to the registry (idempotent per name; returns it)."""
+    global _PREDICATE_TABLE
     if not theory.name:
         raise ValueError("a spatial theory needs a non-empty name")
     _REGISTRY[theory.name] = theory
+    _PREDICATE_TABLE = None
     return theory
 
 
@@ -259,13 +266,18 @@ def available_theories() -> Tuple[SpatialTheory, ...]:
     return tuple(_REGISTRY[name] for name in sorted(_REGISTRY))
 
 
-def predicate_table() -> Dict[str, Tuple[SpatialTheory, PredicateSignature]]:
+def predicate_table() -> Mapping[str, Tuple[SpatialTheory, PredicateSignature]]:
     """Map every registered predicate name to its theory and signature.
 
     This is the parser's single source of truth for the spatial surface
-    syntax; predicate names must therefore be globally unique.
+    syntax; predicate names must therefore be globally unique.  The answer
+    is a read-only view, and the same object until the next
+    :func:`register_theory`.
     """
+    global _PREDICATE_TABLE
     _ensure_builtins()
+    if _PREDICATE_TABLE is not None:
+        return _PREDICATE_TABLE
     table: Dict[str, Tuple[SpatialTheory, PredicateSignature]] = {}
     for theory in available_theories():
         for signature in theory.signatures:
@@ -274,7 +286,8 @@ def predicate_table() -> Dict[str, Tuple[SpatialTheory, PredicateSignature]]:
                     "predicate name {!r} registered by two theories".format(signature.name)
                 )
             table[signature.name] = (theory, signature)
-    return table
+    view = _PREDICATE_TABLE = MappingProxyType(table)
+    return view
 
 
 def _theory_names(atoms: Iterable[SpatialAtom]) -> frozenset:

@@ -70,6 +70,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import time
+import weakref
 from bisect import bisect_left
 from collections.abc import Mapping as _MappingBase
 from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Set, Tuple
@@ -795,7 +796,18 @@ class IntSaturationCore:
     ):
         self.order = order
         self.max_clauses = max_clauses
-        self._encoder = DenseEncoder(order, on_rebuild=self._handle_rebuild)
+        # The encoder holds only a weak reference back to this core: a bound
+        # method would close a reference cycle, and the whole clause store of
+        # every finished proof would then wait for a full garbage collection
+        # instead of being freed when the engine is dropped.
+        handle_rebuild = weakref.WeakMethod(self._handle_rebuild)
+
+        def on_rebuild(remap: List[int]) -> None:
+            method = handle_rebuild()
+            if method is not None:
+                method(remap)
+
+        self._encoder = DenseEncoder(order, on_rebuild=on_rebuild)
         self._index = IntClauseIndex()
         self._index_live = False
         self._index_threshold = index_threshold

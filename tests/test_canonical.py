@@ -10,9 +10,12 @@ the canonical representative).
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 from functools import lru_cache
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -22,10 +25,9 @@ from repro.frontend.examples_suite import generate_suite_vcs
 from repro.fuzz.generator import EntailmentGenerator, GeneratorProfile
 from repro.logic.canonical import (
     _DEFAULT_BUDGET,
+    _KEY_VERSION,
     TooSymmetricError,
-    _cells,
-    _encode,
-    _occurrence_table,
+    _Graph,
     _Refiner,
     canonical_entailment,
     canonicalize,
@@ -164,25 +166,121 @@ def test_pathologically_symmetric_inputs_opt_out():
 
 
 # ---------------------------------------------------------------------------
-# The automorphism-pruned search against the exhaustive one
+# Oracles: the string-signature refiner and the exhaustive search
 # ---------------------------------------------------------------------------
+#
+# The canonicaliser refines integer-coded colourings.  The oracles below
+# keep the original formulation over constants: every occurrence is a
+# ((group, side, kind, role), neighbour) pair and every refinement pass sorts
+# (label, colour) tuples.  They share no code with the implementation.
+
+_Occurrence = Tuple[Tuple[str, str, str, str], Const]
+
+
+def _string_occurrence_table(entailment: Entailment) -> Dict[Const, List[_Occurrence]]:
+    """Every constant's atom occurrences, as labelled edges to its neighbours."""
+    table: Dict[Const, List[_Occurrence]] = {c: [] for c in entailment.constants()}
+    for side, literals in (("lhs", entailment.lhs_pure), ("rhs", entailment.rhs_pure)):
+        for literal in literals:
+            kind = "eq" if literal.positive else "neq"
+            left, right = literal.atom.left, literal.atom.right
+            table[left].append((("pure", side, kind, "end"), right))
+            table[right].append((("pure", side, kind, "end"), left))
+    for side, sigma in (("lhs", entailment.lhs_spatial), ("rhs", entailment.rhs_spatial)):
+        for atom in sigma:
+            roles = atom.argument_roles()
+            if len(roles) == 2:
+                (role_a, const_a), (role_b, const_b) = roles
+                table[const_a].append((("spatial", side, atom.kind, role_a), const_b))
+                table[const_b].append((("spatial", side, atom.kind, role_b), const_a))
+                continue
+            for i, (role_i, const_i) in enumerate(roles):
+                for j, (role_j, const_j) in enumerate(roles):
+                    if i != j:
+                        label = ("spatial", side, atom.kind, "{}>{}".format(role_i, role_j))
+                        table[const_i].append((label, const_j))
+    return table
+
+
+class _StringRefiner:
+    """Colour refinement by sorted ``(colour, ((label, colour), ...))`` signatures."""
+
+    def __init__(self, occurrences: Dict[Const, List[_Occurrence]], budget: int):
+        self.occurrences = occurrences
+        self.budget = budget
+
+    def refine(self, colours: Dict[Const, int]) -> Dict[Const, int]:
+        while True:
+            if self.budget <= 0:
+                raise TooSymmetricError("refinement budget exhausted")
+            self.budget -= 1
+            signatures = {
+                constant: (
+                    colour,
+                    tuple(
+                        sorted(
+                            (label, colours[other])
+                            for label, other in self.occurrences[constant]
+                        )
+                    ),
+                )
+                for constant, colour in colours.items()
+            }
+            numbering = {
+                signature: index
+                for index, signature in enumerate(sorted(set(signatures.values())))
+            }
+            refined = {c: numbering[signatures[c]] for c in colours}
+            if len(numbering) == len(set(colours.values())):
+                return refined
+            colours = refined
+
+
+def _encode_by_constant(entailment: Entailment, index: Mapping[Const, int]) -> tuple:
+    """The entailment re-expressed through constant positions, conjuncts sorted."""
+
+    def pure(literals) -> tuple:
+        encoded = []
+        for literal in literals:
+            i, j = index[literal.atom.left], index[literal.atom.right]
+            encoded.append((int(literal.positive), min(i, j), max(i, j)))
+        return tuple(sorted(encoded))
+
+    def spatial(sigma) -> tuple:
+        return tuple(
+            sorted(
+                (atom.kind,) + tuple(index[constant] for _, constant in atom.argument_roles())
+                for atom in sigma
+            )
+        )
+
+    return (
+        _KEY_VERSION,
+        len(index),
+        pure(entailment.lhs_pure),
+        spatial(entailment.lhs_spatial),
+        pure(entailment.rhs_pure),
+        spatial(entailment.rhs_spatial),
+    )
 
 
 def _exhaustive_search(
     entailment: Entailment,
-    refiner: _Refiner,
+    refiner: _StringRefiner,
     colours: Dict[Const, int],
 ) -> Tuple[tuple, Dict[Const, int]]:
     """The unpruned individualisation-refinement search, kept as an oracle."""
     colours = refiner.refine(colours)
-    cells = _cells(colours)
-    tied = next((cell for cell in cells if len(cell) > 1), None)
+    cells: Dict[int, List[Const]] = {}
+    for constant, colour in colours.items():
+        cells.setdefault(colour, []).append(constant)
+    tied = next((cells[c] for c in sorted(cells) if len(cells[c]) > 1), None)
     if tied is None:
         ordered = sorted(colours, key=lambda c: (0 if c.is_nil else 1, colours[c]))
         index = {constant: position for position, constant in enumerate(ordered)}
         if not any(c.is_nil for c in colours):
             index = {constant: position + 1 for constant, position in index.items()}
-        return _encode(entailment, index), index
+        return _encode_by_constant(entailment, index), index
     fresh = len(colours)
     best: Optional[Tuple[tuple, Dict[Const, int]]] = None
     for candidate in tied:
@@ -197,12 +295,12 @@ def _exhaustive_search(
 
 def _exhaustive_key(entailment: Entailment, budget: int = _DEFAULT_BUDGET) -> Optional[tuple]:
     """The exhaustive search's key, or ``None`` when it exceeds ``budget``."""
-    occurrences = _occurrence_table(entailment)
+    occurrences = _string_occurrence_table(entailment)
     colours = {c: (0 if c.is_nil else 1) for c in occurrences}
     if not colours:
-        return _encode(entailment, {})
+        return _encode_by_constant(entailment, {})
     try:
-        return _exhaustive_search(entailment, _Refiner(occurrences, budget), colours)[0]
+        return _exhaustive_search(entailment, _StringRefiner(occurrences, budget), colours)[0]
     except TooSymmetricError:
         return None
 
@@ -218,7 +316,7 @@ def _assert_agrees_with_exhaustive(entailment: Entailment) -> bool:
     positions = {canonical: int(canonical.name[1:]) for canonical in form.inverse}
     if any(c.is_nil for c in entailment.constants()):
         positions[NIL] = 0
-    assert _encode(entailment.rename(dict(form.renaming)), positions) == form.key
+    assert _encode_by_constant(entailment.rename(dict(form.renaming)), positions) == form.key
     expected = _exhaustive_key(entailment)
     if expected is None:
         return False
@@ -277,3 +375,118 @@ def test_pruning_keeps_symmetric_inputs_within_a_small_budget():
     for condition in generate_suite_vcs():
         canonicalize(clone_entailment(condition.entailment, 4), budget=400)
     canonicalize(_segments(8), budget=400)
+
+
+# ---------------------------------------------------------------------------
+# The integer-coded refiner against the string-signature oracle
+# ---------------------------------------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def _refiner_inputs() -> Tuple[Entailment, ...]:
+    """sll and dll entailments mentioning nil, plus the cloned-VC families."""
+    inputs: List[Entailment] = []
+    for strategy in ("mixed", "dll", "near_symmetric"):
+        generator = EntailmentGenerator(seed=3, profile=GeneratorProfile.only(strategy))
+        inputs.extend(
+            entailment
+            for entailment in generator.entailments(40)
+            if any(c.is_nil for c in entailment.constants())
+        )
+    vcs = _distinct_suite_vcs()
+    for copies in (1, 2, 4):
+        inputs.extend(clone_entailment(entailment, copies) for entailment in vcs[::5])
+    return tuple(inputs)
+
+
+def test_refiner_inputs_cover_both_theories_with_nil():
+    theories = {
+        atom.theory
+        for entailment in _refiner_inputs()
+        for atom in entailment.lhs_spatial.atoms + entailment.rhs_spatial.atoms
+    }
+    assert theories == {"sll", "dll"}
+    assert any(NIL in entailment.constants() for entailment in _refiner_inputs())
+
+
+@SLOW
+@given(st.data())
+def test_integer_refiner_matches_the_string_signature_oracle(data):
+    # From any starting colouring in 0..n (the range the search uses: the
+    # initial classes, then n for an individualised node), the two refiners
+    # must agree colour for colour, in the same dict order, after the same
+    # number of passes.
+    entailment = data.draw(st.sampled_from(_refiner_inputs()))
+    graph = _Graph(entailment)
+    count = len(graph.constants)
+    start = data.draw(st.lists(st.integers(0, count), min_size=count, max_size=count))
+    oracle = _StringRefiner(_string_occurrence_table(entailment), _DEFAULT_BUDGET)
+    expected = oracle.refine(dict(zip(graph.constants, start)))
+    refiner = _Refiner(graph, _DEFAULT_BUDGET)
+    refined = refiner.refine(list(start))
+    assert list(zip(graph.constants, refined)) == list(expected.items())
+    assert refiner.budget == oracle.budget
+
+
+def test_integer_refiner_matches_the_oracle_from_the_initial_colouring():
+    for entailment in _refiner_inputs():
+        graph = _Graph(entailment)
+        colours = {c: (0 if c.is_nil else 1) for c in graph.constants}
+        assert graph.initial_colours() == list(colours.values())
+        expected = _StringRefiner(_string_occurrence_table(entailment), 100).refine(colours)
+        assert _Refiner(graph, 100).refine(graph.initial_colours()) == list(expected.values())
+
+
+# ---------------------------------------------------------------------------
+# Persisted keys must not drift
+# ---------------------------------------------------------------------------
+
+#: Hashes (key, sorted renaming) of every equivalence-corpus entailment and
+#: of every suite VC cloned k = 1, 2 and 4 times.  Run under a fixed hash
+#: seed: the renaming of a symmetric input is one of several that realise
+#: the same key, and which one the search meets first follows the iteration
+#: order of the entailment's constant set.
+_DIGEST_SCRIPT = """
+import hashlib
+from repro.benchgen.cloning import clone_entailment
+from repro.frontend.examples_suite import generate_suite_vcs
+from repro.logic.canonical import TooSymmetricError, canonicalize
+from tests.test_index_equivalence import _corpus
+
+entailments = list(_corpus())
+for condition in generate_suite_vcs():
+    for copies in (1, 2, 4):
+        entailments.append(clone_entailment(condition.entailment, copies))
+digest = hashlib.sha256()
+for entailment in entailments:
+    try:
+        form = canonicalize(entailment)
+    except TooSymmetricError:
+        digest.update(b"too symmetric\\n")
+        continue
+    renaming = sorted((a.name, b.name) for a, b in form.renaming.items())
+    digest.update(repr((form.key, renaming)).encode() + b"\\n")
+print(len(entailments), digest.hexdigest())
+"""
+
+#: The digest written by the string-signature canonicaliser that produced
+#: the keys of every existing proof store.
+_PERSISTED_KEY_DIGEST = (
+    "468 0fde41cf288ad6e88d1f9afe6830458f412334f9f53eb14648ba7530741d7458"
+)
+
+
+def test_cache_keys_and_renamings_match_the_persisted_digest():
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONHASHSEED="0")
+    env["PYTHONPATH"] = os.pathsep.join([os.path.join(root, "src"), root])
+    result = subprocess.run(
+        [sys.executable, "-c", _DIGEST_SCRIPT],
+        cwd=root,
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert result.stdout.strip() == _PERSISTED_KEY_DIGEST
+    assert _KEY_VERSION == "slp-canon-1"

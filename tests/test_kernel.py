@@ -13,6 +13,9 @@ the incremental model generator builds the same models as the from-scratch
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -254,6 +257,41 @@ class TestEncoderRebuild:
         assert kernel.refuted == symbolic.refuted
         assert kernel.clauses() == symbolic.clauses()
         assert kernel.generated_count == symbolic.generated_count
+
+
+class TestEngineLifetime:
+    def test_a_dropped_engine_is_freed_by_reference_counting(self):
+        """No reference cycle runs through the core and its encoder: the
+        clause store of a finished proof is freed as soon as the engine is
+        dropped, not at the next full garbage collection."""
+        batch = random_unsat_batch(UnsatParameters.paper(10), 1, seed=10)
+        prover = Prover(ProverConfig())
+        gc.collect()
+        gc.disable()
+        try:
+            cores = []
+            original = IntSaturationCore.__init__
+
+            def tracked(self, *args, **kwargs):
+                original(self, *args, **kwargs)
+                cores.append(weakref.ref(self))
+
+            IntSaturationCore.__init__ = tracked
+            try:
+                prover.prove(batch[0])
+            finally:
+                IntSaturationCore.__init__ = original
+            assert cores
+            assert all(core() is None for core in cores)
+        finally:
+            gc.enable()
+
+    def test_the_rebuild_callback_reaches_a_live_core(self):
+        a, b = make_const("a"), make_const("b")
+        core = IntSaturationCore(default_order([a, b]), max_clauses=1000)
+        core.add_clauses([Clause.pure(delta=[intern_atom(a, b)])])
+        core.add_clauses([Clause.pure(delta=[intern_atom(make_const("A"), NIL)])])
+        assert core._encoder.rebuilds == 1
 
 
 # ---------------------------------------------------------------------------

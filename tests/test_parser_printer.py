@@ -1,5 +1,7 @@
 """Unit tests for the textual surface syntax and the printer."""
 
+import re
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -182,6 +184,69 @@ class TestParserDiagnostics:
         assert error.column is not None and error.token == "nil"
 
 
+#: Malformed inputs with the (line, column, token, reason) each reports.  The
+#: values were recorded from the earlier tokenizer, which matched one token
+#: at a time and raised at the first character no token rule accepts; the
+#: one-scan tokenizer and the parser must keep every diagnostic.
+_FALSE_LHS = "'false' can only appear as the whole right-hand side"
+_AFTER = "expected '=', '!=' or '|->' after {!r} but found {!r}"
+
+
+def _mixed(predicate, theory, used):
+    return (
+        "predicate {!r} belongs to the {!r} theory but the entailment already uses {!r} "
+        "atoms; spatial theories cannot be mixed".format(predicate, theory, used)
+    )
+
+
+MALFORMED = [
+    ('?x = y |- emp', 1, 1, '?', "unexpected character '?'"),
+    ('x = y /\\ ? |- emp', 1, 10, '?', "unexpected character '?'"),
+    ('x = y |- lseg(x, y) #', 1, 21, '#', "unexpected character '#'"),
+    ('x = y |- emp\t$', 1, 14, '$', "unexpected character '$'"),
+    ('x = y /\\\nlseg(x, )', 2, 9, ')', "expected an identifier but found ')'"),
+    ('x != y /\\\n  lseg(x, y)\n|- next(x, 0)', 3, 12, '0', "unexpected character '0'"),
+    ('lseg(x, y) *\n\nnext(y, z) |- w', 3, 16, None, "dangling identifier 'w' at end of input"),
+    ('x = y |- z', 1, 11, None, "dangling identifier 'z' at end of input"),
+    ('x', 1, 2, None, "dangling identifier 'x' at end of input"),
+    ('lseg(x, y) * x |- emp', 1, 16, '|-', _AFTER.format("x", "|-")),
+    ('next(x) |- emp', 1, 7, ')', 'next takes 2 arguments but got 1'),
+    ('cell(x, y) |- emp', 1, 10, ')', 'cell takes 3 arguments but got 2'),
+    ('dlseg(x, p, y, q, r) |- emp', 1, 20, ')', 'dlseg takes 4 arguments but got 5'),
+    ('lseg(x, y, |- emp', 1, 12, '|-', "expected an identifier but found '|-'"),
+    ('next(x, y) * cell(a, b, c) |- emp', 1, 14, 'cell', _mixed('cell', 'dll', 'sll')),
+    ('cell(a, b, c) |- x |-> y', 1, 18, 'x', _mixed('x', 'sll', 'dll')),
+    ('dll(x, p, y, q) |- lseg(x, y)', 1, 20, 'lseg', _mixed('lseg', 'sll', 'dll')),
+    ('false |- lseg(x, y)', None, None, None, _FALSE_LHS),
+    ('false |- false', None, None, None, _FALSE_LHS),
+    ('x = y |- false * lseg(x, y)', 1, 16, '*', "unexpected trailing input '*'"),
+    ('x = y * false |- emp', 1, 15, '|-', _AFTER.format("false", "|-")),
+    ('', 1, 1, None, 'unexpected end of input at end of input'),
+    ('x = ', 1, 5, None, 'expected an identifier at end of input'),
+    ('lseg(x, y)', 1, 11, None, "expected '|-' at end of input"),
+    ('lseg(x, y) |- next(x, y) extra', 1, 26, 'extra', "unexpected trailing input 'extra'"),
+    ('x | y |- emp', 1, 3, '|', "unexpected character '|'"),
+    ('x & |- emp', 1, 3, '&', _AFTER.format("x", "&")),
+    ('lseg(x nil) |- emp', 1, 8, 'nil', 'lseg takes 2 arguments but got 1'),
+]
+
+
+class TestMalformedInputTable:
+    @pytest.mark.parametrize("text, line, column, token, reason", MALFORMED)
+    def test_reports_line_column_and_token(self, text, line, column, token, reason):
+        with pytest.raises(ParseError) as excinfo:
+            parse_entailment(text)
+        error = excinfo.value
+        assert (error.line, error.column, error.token, error.reason) == (
+            line,
+            column,
+            token,
+            reason,
+        )
+        if line is not None:
+            assert str(error) == "line {}, column {}: {}".format(line, column, reason)
+
+
 def _roundtrip_profile(name):
     return GeneratorProfile.only(name, min_variables=2, max_variables=5)
 
@@ -200,6 +265,33 @@ class TestPrinterRoundTripProperty:
         generator = EntailmentGenerator(seed=11, profile=_roundtrip_profile("dll"))
         entailment = generator.case(index).entailment
         assert parse_entailment(format_entailment(entailment)) == entailment
+
+
+def _respell(text):
+    """``text`` with every alternative spelling the grammar accepts."""
+    text = re.sub(r"\blseg\(", "ls(", text)
+    text = re.sub(r"\bdlseg\(", "dll(", text)
+    text = text.replace(" |- ", " ==> ").replace("/\\", "&&")
+    text = text.replace(" != ", " <> ").replace(" = ", " == ")
+    return re.sub(r"\bnext\((\w+), (\w+)\)", r"\1 |-> \2", text)
+
+
+class TestPrintedGeneratorInputs:
+    """``parse(print(f)) == f`` over every generator strategy, in every spelling."""
+
+    @given(st.integers(min_value=0, max_value=10_000))
+    def test_printed_form_and_its_respelling_parse_back(self, index):
+        entailment = EntailmentGenerator(seed=5).case(index).entailment
+        printed = format_entailment(entailment)
+        assert parse_entailment(printed) == entailment
+        respelled = _respell(printed)
+        assert parse_entailment(respelled) == entailment
+
+    def test_respelling_changes_every_spelling(self):
+        printed = "x != y /\\ x = z /\\ next(x, y) * lseg(y, nil) |- lseg(x, nil)"
+        assert _respell(printed) == "x <> y && x == z && x |-> y * ls(y, nil) ==> ls(x, nil)"
+        dll = "cell(x, y, nil) |- dlseg(x, nil, y, x)"
+        assert _respell(dll) == "cell(x, y, nil) ==> dll(x, nil, y, x)"
 
 
 class TestPrinter:

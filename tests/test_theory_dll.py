@@ -21,7 +21,7 @@ from repro.logic.atoms import DllCell, DllSegment, SpatialFormula
 from repro.logic.canonical import canonicalize
 from repro.logic.clauses import Clause
 from repro.logic.formula import Entailment, dcell, dlseg, eq, lseg, neq, pts
-from repro.logic.parser import parse_entailment
+from repro.logic.parser import ParseError, parse_entailment
 from repro.logic.terms import Const, NIL, make_const
 from repro.semantics.enumeration import (
     enumerate_counterexample,
@@ -30,12 +30,16 @@ from repro.semantics.enumeration import (
 )
 from repro.semantics.heap import Heap, Stack
 from repro.semantics.satisfaction import falsifies_entailment, satisfies_spatial
+from repro.spatial import theory as theory_registry
 from repro.spatial.theory import (
     MixedTheoryError,
+    PredicateSignature,
+    SpatialTheory,
     UnknownTheoryError,
     available_theories,
     get_theory,
     predicate_table,
+    register_theory,
     theory_of,
 )
 from repro.spatial.unfolding import unfold
@@ -61,6 +65,28 @@ class TestRegistry:
         assert table["lseg"][1].kind == "segment"
         assert table["cell"][0].name == "dll" and table["cell"][1].arity == 3
         assert table["dlseg"][1].arity == 4
+
+    def test_predicate_table_is_rebuilt_after_register_theory(self):
+        class ProbeTheory(SpatialTheory):
+            name = "probe"
+            signatures = (PredicateSignature("probe", "segment", 2, lseg),)
+
+        table = predicate_table()
+        assert predicate_table() is table
+        with pytest.raises(ParseError):
+            parse_entailment("probe(x, y) |- emp")
+        register_theory(ProbeTheory())
+        try:
+            assert predicate_table() is not table
+            assert parse_entailment("probe(x, y) |- emp").lhs_spatial == SpatialFormula(
+                [lseg("x", "y")]
+            )
+        finally:
+            del theory_registry._REGISTRY["probe"]
+            register_theory(get_theory("sll"))  # rebuilds the table without the probe
+        assert dict(predicate_table()) == dict(table)
+        with pytest.raises(ParseError):
+            parse_entailment("probe(x, y) |- emp")
 
     def test_theory_of_formulas_and_entailments(self):
         assert theory_of(SpatialFormula([pts("x", "y")])).name == "sll"
